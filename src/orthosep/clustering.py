@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ShapeError
+from .errors import DataError, OrthosepError, ShapeError
 
 
 @dataclass
@@ -34,6 +34,13 @@ def _kmeans_pp_init(x, c, rng):
     return centroids
 
 
+def _check_not_increased(inertia, prev):
+    """Lloyd steps and Hartigan moves never raise the inertia; allow only
+    rounding, which grows with the inertia itself."""
+    if inertia > prev + 1e-9 * max(1.0, prev):
+        raise OrthosepError(f"k-means inertia increased from {prev!r} to {inertia!r}")
+
+
 def _lloyd(x, centroids, max_iter, tol):
     prev_inertia = np.inf
     iterations = 0
@@ -42,7 +49,7 @@ def _lloyd(x, centroids, max_iter, tol):
         d2 = np.sum((x[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
         labels = np.argmin(d2, axis=1)
         inertia = float(d2[np.arange(len(x)), labels].sum())
-        assert inertia <= prev_inertia + 1e-9, "k-means inertia increased"
+        _check_not_increased(inertia, prev_inertia)
         prev_inertia = inertia
         new_centroids = centroids.copy()
         for j in range(centroids.shape[0]):
@@ -63,6 +70,12 @@ def _lloyd(x, centroids, max_iter, tol):
     return labels, centroids, inertia, iterations
 
 
+# points judged at once right after a move: the next mover is often close
+# (from a poor start every other point moves), and a block with no mover
+# doubles the next one
+_SCAN_BLOCK = 16
+
+
 def _hartigan_refine(x, labels, c, max_passes=50):
     """Single-point reassignment passes after Lloyd convergence.
 
@@ -70,8 +83,18 @@ def _hartigan_refine(x, labels, c, max_passes=50):
     (n_a/(n_a-1)·d_a² removal gain vs n_b/(n_b+1)·d_b² insertion cost),
     which escapes Lloyd-stable local optima on small inputs. Every move
     strictly decreases inertia, so termination is guaranteed.
+
+    Points are visited in index order and each move is applied before the
+    next point is judged (Hartigan & Wong 1979). Rather than visit one
+    point at a time, numpy judges a block of points against the current
+    sums and counts and the first mover in it is applied; the scan then
+    resumes right after that point. A block with no mover is skipped and
+    the next one is twice as long, so a pass costs O(N + moves·block)
+    array work and a few Python steps per move, not one per point. The
+    labels equal those of a per-point loop.
     """
     labels = labels.copy()
+    n = x.shape[0]
     counts = np.bincount(labels, minlength=c).astype(np.float64)
     sums = np.zeros((c, x.shape[1]))
     for j in range(c):
@@ -79,30 +102,52 @@ def _hartigan_refine(x, labels, c, max_passes=50):
             sums[j] = x[labels == j].sum(axis=0)
     for _ in range(max_passes):
         improved = False
-        for i in range(x.shape[0]):
-            a = labels[i]
-            if counts[a] <= 1:
+        start, size = 0, _SCAN_BLOCK
+        while start < n:
+            stop = min(start + size, n)
+            offset, b = _first_move(x[start:stop], labels[start:stop], sums, counts)
+            if offset < 0:
+                start, size = stop, 2 * size
                 continue
-            d_a = np.sum((x[i] - sums[a] / counts[a]) ** 2)
-            removal = counts[a] / (counts[a] - 1.0) * d_a
-            best_delta, best_b = 0.0, a
-            for b in range(c):
-                if b == a or counts[b] == 0:
-                    continue
-                d_b = np.sum((x[i] - sums[b] / counts[b]) ** 2)
-                addition = counts[b] / (counts[b] + 1.0) * d_b
-                if removal - addition > best_delta + 1e-12:
-                    best_delta, best_b = removal - addition, b
-            if best_b != a:
-                sums[a] -= x[i]
-                counts[a] -= 1.0
-                sums[best_b] += x[i]
-                counts[best_b] += 1.0
-                labels[i] = best_b
-                improved = True
+            i = start + offset
+            a = labels[i]
+            sums[a] -= x[i]
+            counts[a] -= 1.0
+            sums[b] += x[i]
+            counts[b] += 1.0
+            labels[i] = b
+            improved = True
+            start, size = i + 1, _SCAN_BLOCK
         if not improved:
             break
     return labels
+
+
+def _first_move(xb, lb, sums, counts):
+    """(offset, target) of the first row of ``xb`` that Hartigan's rule
+    moves, or (-1, -1). Every float is computed as the per-point rule
+    computes it: the same centroid division, the same row sum, and the
+    targets tried in index order, each having to beat the best gain so
+    far by more than 1e-12."""
+    rows = np.arange(len(lb))
+    d = np.full((len(lb), len(counts)), np.nan)
+    for j in np.flatnonzero(counts):
+        d[:, j] = np.sum((xb - sums[j] / counts[j]) ** 2, axis=1)
+    own = counts[lb]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        removal = own / (own - 1.0) * d[rows, lb]
+    best_gain = np.zeros(len(lb))
+    best = lb.copy()
+    for j in np.flatnonzero(counts):
+        gain = removal - counts[j] / (counts[j] + 1.0) * d[:, j]
+        wins = (lb != j) & (gain > best_gain + 1e-12)
+        best_gain[wins] = gain[wins]
+        best[wins] = j
+    moves = (own > 1) & (best != lb)
+    if not moves.any():
+        return -1, -1
+    offset = int(np.argmax(moves))
+    return offset, int(best[offset])
 
 
 def kmeans(
@@ -134,7 +179,7 @@ def kmeans(
                     centroids[j] = members.mean(axis=0)
             diffs = x - centroids[labels]
             new_inertia = float(np.sum(diffs * diffs))
-            assert new_inertia <= inertia + 1e-9, "k-means inertia increased"
+            _check_not_increased(new_inertia, inertia)
             inertia = new_inertia
         if best is None or inertia < best.inertia:
             best = ClusterResult(

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, IoError, ShapeError
 from .signal import Spectrogram, Waveform
 
 SIR_GRID_DB = (3.0, 6.0, 9.0, 12.0, 15.0)
@@ -269,10 +269,17 @@ def write_manifest(entries, path) -> None:
 
 
 def read_manifest(path):
+    try:
+        with open(path) as f:
+            lines = f.readlines()
+    except OSError as e:
+        raise IoError(f"cannot read manifest {path}: {e}") from e
     entries = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if line:
+    for number, line in enumerate(lines, 1):
+        line = line.strip()
+        if line:
+            try:
                 entries.append(ManifestEntry(**json.loads(line)))
+            except (json.JSONDecodeError, TypeError) as e:
+                raise DataError(f"{path}:{number}: not a manifest entry: {e}") from e
     return entries

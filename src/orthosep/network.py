@@ -17,7 +17,7 @@ import numpy as np
 
 from . import embedding
 from .dataset import compute_ibm, render_mixture
-from .errors import CheckpointError, ConfigError, ShapeError, TrainingDiverged
+from .errors import CheckpointError, ConfigError, IoError, ShapeError, TrainingDiverged
 from .signal import StftConfig, log_magnitude, stft
 
 
@@ -365,6 +365,15 @@ class TrainingConfig:
     floor_eps: float = 1e-7
     energy_cutoff_db: float = None  # keep all bins when None
 
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ConfigError(f"need at least one epoch, got {self.epochs}")
+        # zero is allowed: it runs the whole loop and leaves the parameters as set
+        if not 0.0 <= self.learning_rate < np.inf:
+            raise ConfigError(
+                f"learning_rate must be finite and >= 0, got {self.learning_rate}"
+            )
+
 
 def prepare_example(entry, stft_cfg: StftConfig, floor_eps: float = 1e-7,
                     energy_cutoff_db: float = None):
@@ -493,7 +502,11 @@ def load_checkpoint(path):
             raise CheckpointError(f"truncated checkpoint while reading {what}")
         return data
 
-    with open(path, "rb") as f:
+    try:
+        f = open(path, "rb")
+    except OSError as e:
+        raise IoError(f"cannot read checkpoint {path}: {e}") from e
+    with f:
         if take(f, 4, "magic") != _MAGIC:
             raise CheckpointError("bad magic: not an orthosep checkpoint")
         (version,) = struct.unpack("<I", take(f, 4, "version"))

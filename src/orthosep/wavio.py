@@ -6,7 +6,7 @@ import wave
 
 import numpy as np
 
-from .errors import AudioFormatError
+from .errors import AudioFormatError, IoError
 from .signal import Waveform
 
 REQUIRED_RATE = 16000
@@ -14,7 +14,11 @@ _SCALE = 32768.0
 
 
 def read_wav(path, expected_rate: int = REQUIRED_RATE) -> Waveform:
-    with wave.open(str(path), "rb") as f:
+    try:
+        f = wave.open(str(path), "rb")
+    except OSError as e:
+        raise IoError(f"cannot read {path}: {e}") from e
+    with f:
         channels = f.getnchannels()
         width = f.getsampwidth()
         rate = f.getframerate()

@@ -193,9 +193,35 @@ class TestErrors:
 
     def test_missing_checkpoint(self, tmp_path, corpus):
         e = read_manifest(corpus / "manifest.jsonl")[0]
-        with pytest.raises(FileNotFoundError):
-            run("separate", "--checkpoint", tmp_path / "nope.osep",
-                "--mix", e.mix_path, "--out", tmp_path)
+        code = run("separate", "--checkpoint", tmp_path / "nope.osep",
+                   "--mix", e.mix_path, "--out", tmp_path)
+        assert code == 4
+
+    def test_missing_mix(self, tmp_path):
+        code = run("separate", "--mix", tmp_path / "nope.wav", "--out", tmp_path / "o",
+                   "--oracle-ibm", "--refs", tmp_path / "a.wav", tmp_path / "b.wav")
+        assert code == 4
+
+    def test_missing_manifest(self, tmp_path):
+        code = run("train", "--manifest", tmp_path / "nope.jsonl", "--out", tmp_path / "o")
+        assert code == 4
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("line", ['{"id": "x",', '{"id": "x", "colour": "red"}', "[1, 2]"])
+    def test_malformed_manifest(self, tmp_path, line):
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text(line + "\n")
+        code = run("train", "--manifest", manifest, "--out", tmp_path / "o")
+        assert code == 3
+
+    @pytest.mark.parametrize("flag,value", [("--epochs", 0), ("--lr", -1e-3), ("--lr", "nan")])
+    def test_bad_training_hyperparameters(self, corpus, tmp_path, flag, value):
+        out = tmp_path / "o"
+        code = run("train", "--manifest", corpus / "manifest.jsonl", "--out", out,
+                   "--hidden", 4, "--embedding-dim", 2, "--fft-size", 256, "--hop", 128,
+                   flag, value)
+        assert code == 2
+        assert not out.exists()
 
     def test_config_file_supplies_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -3,8 +3,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from orthosep import clustering
 from orthosep.clustering import ClusterResult, kmeans, masks_from_clusters, select_target
-from orthosep.errors import DataError, ShapeError
+from orthosep.errors import DataError, OrthosepError, ShapeError
 from orthosep.signal import Waveform
 
 
@@ -21,6 +22,120 @@ def brute_force_two_partition_inertia(x):
             )
             best = min(best, inertia)
     return best
+
+
+def hartigan_refine_loop(x, labels, c, max_passes=50):
+    """Reference oracle: Hartigan's single-point rule as a per-point loop."""
+    labels = labels.copy()
+    counts = np.bincount(labels, minlength=c).astype(np.float64)
+    sums = np.zeros((c, x.shape[1]))
+    for j in range(c):
+        if counts[j]:
+            sums[j] = x[labels == j].sum(axis=0)
+    for _ in range(max_passes):
+        improved = False
+        for i in range(x.shape[0]):
+            a = labels[i]
+            if counts[a] <= 1:
+                continue
+            d_a = np.sum((x[i] - sums[a] / counts[a]) ** 2)
+            removal = counts[a] / (counts[a] - 1.0) * d_a
+            best_delta, best_b = 0.0, a
+            for b in range(c):
+                if b == a or counts[b] == 0:
+                    continue
+                d_b = np.sum((x[i] - sums[b] / counts[b]) ** 2)
+                addition = counts[b] / (counts[b] + 1.0) * d_b
+                if removal - addition > best_delta + 1e-12:
+                    best_delta, best_b = removal - addition, b
+            if best_b != a:
+                sums[a] -= x[i]
+                counts[a] -= 1.0
+                sums[best_b] += x[i]
+                counts[best_b] += 1.0
+                labels[i] = best_b
+                improved = True
+        if not improved:
+            break
+    return labels
+
+
+def inertia_of(x, labels, c):
+    return sum(
+        np.sum((x[labels == j] - x[labels == j].mean(axis=0)) ** 2)
+        for j in range(c) if np.any(labels == j)
+    )
+
+
+def clouds(seed, n, c, k):
+    """Unit-norm rows around c random directions, overlapping enough that
+    Lloyd leaves Hartigan moves to make."""
+    rng = np.random.default_rng(seed)
+    centers = rng.standard_normal((c, k))
+    x = centers[rng.integers(0, c, n)] + 1.5 * rng.standard_normal((n, k))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+class TestHartigan:
+    @pytest.mark.parametrize("c", [2, 3, 4])
+    @pytest.mark.parametrize("start", ["lloyd", "random"])
+    @pytest.mark.parametrize("n,k", [(7, 1), (60, 2), (300, 5), (2500, 20)])
+    def test_matches_per_point_loop(self, c, start, n, k):
+        seed = 100 * c + n + k
+        x = clouds(seed, n, c, k)
+        rng = np.random.default_rng(seed)
+        if start == "random":
+            labels = rng.integers(0, c, n)
+        else:
+            centroids = clustering._kmeans_pp_init(x, c, rng)
+            labels = clustering._lloyd(x, centroids, 300, 1e-6)[0]
+        expected = hartigan_refine_loop(x, labels, c)
+        assert np.array_equal(clustering._hartigan_refine(x, labels, c), expected)
+
+    def test_empty_cluster_stays_empty(self):
+        x = clouds(1, 50, 3, 4)
+        labels = np.random.default_rng(1).integers(0, 2, 50)
+        refined = clustering._hartigan_refine(x, labels, 3)
+        assert np.array_equal(refined, hartigan_refine_loop(x, labels, 3))
+        assert not np.any(refined == 2)
+
+    def test_near_tie_goes_to_lowest_index(self):
+        # point 0 gains 2.3e-13 more by joining cluster 2 than cluster 1;
+        # a target must beat the best so far by more than 1e-12
+        x = np.array([[0.0], [30.0], [10.0], [10.0], [-10.0 + 2e-14], [-10.0 + 2e-14]])
+        labels = np.array([0, 0, 1, 1, 2, 2])
+        refined = clustering._hartigan_refine(x, labels, 3)
+        assert np.array_equal(refined, [1, 0, 1, 1, 2, 2])
+        assert np.array_equal(refined, hartigan_refine_loop(x, labels, 3))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_no_single_move_lowers_inertia(self, seed):
+        c = 2 + seed % 3
+        x = clouds(seed, 120, c, 3)
+        labels = kmeans(x, c, seed=seed, restarts=1).assignments
+        base = inertia_of(x, labels, c)
+        for i in range(len(x)):
+            if np.sum(labels == labels[i]) == 1:
+                continue
+            for b in range(c):
+                if b == labels[i]:
+                    continue
+                moved = labels.copy()
+                moved[i] = b
+                assert inertia_of(x, moved, c) > base - 1e-9
+
+    def test_worse_refinement_raises(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        x = np.vstack([rng.normal(+1, 0.05, (20, 2)), rng.normal(-1, 0.05, (20, 2))])
+
+        def scramble(x, labels, c):
+            worse = labels.copy()
+            worse[::2] = 1 - worse[::2]
+            return worse
+
+        monkeypatch.setattr(clustering, "_hartigan_refine", scramble)
+        with pytest.raises(OrthosepError, match="inertia increased"):
+            kmeans(x, 2, seed=0)
 
 
 class TestKmeans:
