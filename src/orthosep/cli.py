@@ -251,8 +251,6 @@ def build_parser():
     )
     parser.add_argument("--config", help="JSON config file; flags override it")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="recorded for provenance; computation is single-process")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus + manifest")

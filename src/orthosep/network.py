@@ -10,6 +10,7 @@ All math is float64 numpy. Checkpoints quantize parameters to float32
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -38,100 +39,78 @@ class NetworkConfig:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
 
-@dataclass
-class LstmParams:
-    wx: np.ndarray  # (D, 4H), gate order i|f|g|o
-    wh: np.ndarray  # (H, 4H)
-    b: np.ndarray  # (4H,)
+def layout(cfg: NetworkConfig):
+    """(name, shape) of every parameter tensor, in the order of
+    initialization, of the flat buffer and of checkpoint blocks. LSTM
+    weights are (input width, 4H) with gate order i|f|g|o."""
+    h = cfg.hidden
+    out_dim = cfg.input_dim * cfg.embedding_dim
+    shapes = []
+    for layer in range(cfg.num_bilstm_layers):
+        d = cfg.input_dim if layer == 0 else 2 * h
+        for direction in ("fwd", "bwd"):
+            shapes += [(f"layer{layer}.{direction}.wx", (d, 4 * h)),
+                       (f"layer{layer}.{direction}.wh", (h, 4 * h)),
+                       (f"layer{layer}.{direction}.b", (4 * h,))]
+    return tuple(shapes + [("dense.w", (2 * h, out_dim)), ("dense.b", (out_dim,))])
 
 
-@dataclass
-class BiLstmParams:
-    fwd: LstmParams
-    bwd: LstmParams
-
-
-@dataclass
 class ModelParameters:
-    layers: list
-    dense_w: np.ndarray  # (2H, F*K)
-    dense_b: np.ndarray  # (F*K,)
+    """Every parameter in one float64 vector, `flat`, laid out as `shapes`
+    (see `layout`). `arrays` maps each name to a C-contiguous view of
+    `flat` with that tensor's shape, so writing a view writes the vector."""
+
+    def __init__(self, shapes, flat=None):
+        sizes = [math.prod(shape) for _, shape in shapes]
+        self.shapes = shapes
+        self.flat = np.zeros(sum(sizes)) if flat is None else flat
+        self.arrays, start = {}, 0
+        for (name, shape), size in zip(shapes, sizes):
+            self.arrays[name] = self.flat[start : start + size].reshape(shape)
+            start += size
 
 
 def init_params(cfg: NetworkConfig, seed: int = 0) -> ModelParameters:
     """Uniform +-1/sqrt(fan_in) initialization, biases zero."""
     rng = np.random.default_rng(seed)
-
-    def uniform(fan_in, shape):
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
-    layers = []
-    for layer in range(cfg.num_bilstm_layers):
-        d = cfg.input_dim if layer == 0 else 2 * cfg.hidden
-        h = cfg.hidden
-        directions = []
-        for _ in range(2):
-            directions.append(
-                LstmParams(
-                    wx=uniform(d, (d, 4 * h)),
-                    wh=uniform(h, (h, 4 * h)),
-                    b=np.zeros(4 * h),
-                )
-            )
-        layers.append(BiLstmParams(fwd=directions[0], bwd=directions[1]))
-    out_dim = cfg.input_dim * cfg.embedding_dim
-    return ModelParameters(
-        layers=layers,
-        dense_w=uniform(2 * cfg.hidden, (2 * cfg.hidden, out_dim)),
-        dense_b=np.zeros(out_dim),
-    )
+    params = ModelParameters(layout(cfg))
+    for arr in params.arrays.values():
+        if arr.ndim == 2:  # a weight matrix; its fan-in is its row count
+            bound = 1.0 / np.sqrt(arr.shape[0])
+            arr[...] = rng.uniform(-bound, bound, size=arr.shape)
+    return params
 
 
 def named_arrays(params: ModelParameters):
-    """Flat ordered name -> array view of all parameters."""
-    out = {}
-    for i, layer in enumerate(params.layers):
-        for direction in ("fwd", "bwd"):
-            p = getattr(layer, direction)
-            out[f"layer{i}.{direction}.wx"] = p.wx
-            out[f"layer{i}.{direction}.wh"] = p.wh
-            out[f"layer{i}.{direction}.b"] = p.b
-    out["dense.w"] = params.dense_w
-    out["dense.b"] = params.dense_b
-    return out
+    """Ordered name -> view of every parameter tensor."""
+    return params.arrays
 
 
 def clone_params(params: ModelParameters) -> ModelParameters:
-    layers = [
-        BiLstmParams(
-            fwd=LstmParams(l.fwd.wx.copy(), l.fwd.wh.copy(), l.fwd.b.copy()),
-            bwd=LstmParams(l.bwd.wx.copy(), l.bwd.wh.copy(), l.bwd.b.copy()),
-        )
-        for l in params.layers
-    ]
-    return ModelParameters(
-        layers=layers, dense_w=params.dense_w.copy(), dense_b=params.dense_b.copy()
-    )
+    return ModelParameters(params.shapes, params.flat.copy())
 
 
 def zeros_like_params(params: ModelParameters) -> ModelParameters:
-    out = clone_params(params)
-    for arr in named_arrays(out).values():
-        arr[...] = 0.0
-    return out
+    return ModelParameters(params.shapes)
+
+
+def _direction(params: ModelParameters, layer: int, direction: str):
+    """(wx, wh, b) views of one LSTM direction."""
+    prefix = f"layer{layer}.{direction}."
+    return tuple(params.arrays[prefix + k] for k in ("wx", "wh", "b"))
 
 
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _lstm_forward(p: LstmParams, x):
-    """One LSTM direction over a (T, D) sequence; returns outputs and the
-    cache needed for backprop."""
+def _lstm_forward(w, x):
+    """One LSTM direction with weights w = (wx, wh, b) over a (T, D)
+    sequence; returns outputs and the cache needed for backprop."""
+    wx, wh, b = w
     t_steps = x.shape[0]
-    h_dim = p.wh.shape[0]
-    zx = x @ p.wx + p.b
+    h_dim = wh.shape[0]
+    zx = x @ wx + b
     i = np.empty((t_steps, h_dim))
     f = np.empty((t_steps, h_dim))
     g = np.empty((t_steps, h_dim))
@@ -141,7 +120,7 @@ def _lstm_forward(p: LstmParams, x):
     h_prev = np.zeros(h_dim)
     c_prev = np.zeros(h_dim)
     for t in range(t_steps):
-        z = zx[t] + h_prev @ p.wh
+        z = zx[t] + h_prev @ wh
         i[t] = _sigmoid(z[:h_dim])
         f[t] = _sigmoid(z[h_dim : 2 * h_dim])
         g[t] = np.tanh(z[2 * h_dim : 3 * h_dim])
@@ -153,42 +132,35 @@ def _lstm_forward(p: LstmParams, x):
     return h, cache
 
 
-def _lstm_backward(p: LstmParams, cache, dh_out):
-    """BPTT through one LSTM direction. Returns (dx, grads)."""
-    x, i, f, g, o, c = (cache[k] for k in ("x", "i", "f", "g", "o", "c"))
-    h = cache["h"]
+def _lstm_backward(w, cache, dh_out, grads):
+    """BPTT through one LSTM direction with weights w = (wx, wh, b).
+    Writes the weight gradients into the views grads = (dwx, dwh, db) and
+    returns dx. Only the dh/dc recurrence runs step by step; it keeps the
+    pre-activation gradients dZ (T, 4H), and the weight gradients and dx
+    are then one matrix product each over all steps (Appleyard, Kocisky
+    & Blunsom 2016, arXiv:1604.01946)."""
+    wx, wh, _ = w
+    dwx, dwh, db = grads
+    x, i, f, g, o, c, h = (cache[k] for k in ("x", "i", "f", "g", "o", "c", "h"))
     t_steps, h_dim = i.shape
-    dwx = np.zeros_like(p.wx)
-    dwh = np.zeros_like(p.wh)
-    db = np.zeros_like(p.b)
-    dx = np.empty_like(x)
+    dz = np.empty((t_steps, 4 * h_dim))
     dh_next = np.zeros(h_dim)
     dc_next = np.zeros(h_dim)
     for t in range(t_steps - 1, -1, -1):
         c_prev = c[t - 1] if t > 0 else np.zeros(h_dim)
-        h_prev = h[t - 1] if t > 0 else np.zeros(h_dim)
         tanh_c = np.tanh(c[t])
         dh = dh_out[t] + dh_next
-        do = dh * tanh_c
         dc = dh * o[t] * (1.0 - tanh_c**2) + dc_next
-        di = dc * g[t]
-        df = dc * c_prev
-        dg = dc * i[t]
-        dz = np.concatenate(
-            [
-                di * i[t] * (1.0 - i[t]),
-                df * f[t] * (1.0 - f[t]),
-                dg * (1.0 - g[t] ** 2),
-                do * o[t] * (1.0 - o[t]),
-            ]
-        )
-        dwx += np.outer(x[t], dz)
-        dwh += np.outer(h_prev, dz)
-        db += dz
-        dx[t] = dz @ p.wx.T
-        dh_next = dz @ p.wh.T
+        dz[t, :h_dim] = dc * g[t] * i[t] * (1.0 - i[t])
+        dz[t, h_dim : 2 * h_dim] = dc * c_prev * f[t] * (1.0 - f[t])
+        dz[t, 2 * h_dim : 3 * h_dim] = dc * i[t] * (1.0 - g[t] ** 2)
+        dz[t, 3 * h_dim :] = dh * tanh_c * o[t] * (1.0 - o[t])
+        dh_next = dz[t] @ wh.T
         dc_next = dc * f[t]
-    return dx, LstmParams(wx=dwx, wh=dwh, b=db)
+    dwx[...] = x.T @ dz
+    dwh[...] = h[:-1].T @ dz[1:]  # h_prev is zero at t = 0
+    db[...] = dz.sum(axis=0)
+    return dz @ wx.T
 
 
 def _forward_cache(params, cfg, features, train_mode, rng_seed):
@@ -200,24 +172,22 @@ def _forward_cache(params, cfg, features, train_mode, rng_seed):
     rng = np.random.default_rng(rng_seed)
     x = features
     layer_caches = []
-    for layer_idx, layer in enumerate(params.layers):
-        h_f, cache_f = _lstm_forward(layer.fwd, x)
-        h_b_rev, cache_b = _lstm_forward(layer.bwd, x[::-1])
+    for layer_idx in range(cfg.num_bilstm_layers):
+        h_f, cache_f = _lstm_forward(_direction(params, layer_idx, "fwd"), x)
+        h_b_rev, cache_b = _lstm_forward(_direction(params, layer_idx, "bwd"), x[::-1])
         out = np.concatenate([h_f, h_b_rev[::-1]], axis=1)
         drop_mask = None
         if (
             train_mode
             and cfg.dropout_rate > 0.0
-            and layer_idx < len(params.layers) - 1
+            and layer_idx < cfg.num_bilstm_layers - 1
         ):
             keep = 1.0 - cfg.dropout_rate
             drop_mask = (rng.random(out.shape) < keep) / keep
             out = out * drop_mask
-        layer_caches.append(
-            {"fwd": cache_f, "bwd": cache_b, "drop_mask": drop_mask, "pre_drop": None}
-        )
+        layer_caches.append({"fwd": cache_f, "bwd": cache_b, "drop_mask": drop_mask})
         x = out
-    z = x @ params.dense_w + params.dense_b  # (T, F*K)
+    z = x @ params.arrays["dense.w"] + params.arrays["dense.b"]  # (T, F*K)
     a = np.tanh(z)
     t_frames = features.shape[0]
     v_raw = a.reshape(t_frames * cfg.input_dim, cfg.embedding_dim)
@@ -291,39 +261,38 @@ def backward(
     da = dv_raw.reshape(t_frames, cfg.input_dim * cfg.embedding_dim)
     dz = da * (1.0 - cache["a"] ** 2)
     grads = zeros_like_params(params)
-    grads.dense_w[...] = cache["last_hidden"].T @ dz
-    grads.dense_b[...] = dz.sum(axis=0)
-    dx = dz @ params.dense_w.T
+    grads.arrays["dense.w"][...] = cache["last_hidden"].T @ dz
+    grads.arrays["dense.b"][...] = dz.sum(axis=0)
+    dx = dz @ params.arrays["dense.w"].T
     h = cfg.hidden
-    for layer_idx in range(len(params.layers) - 1, -1, -1):
+    for layer_idx in range(cfg.num_bilstm_layers - 1, -1, -1):
         layer_cache = cache["layers"][layer_idx]
         if layer_cache["drop_mask"] is not None:
             dx = dx * layer_cache["drop_mask"]
-        dh_f = dx[:, :h]
-        dh_b = dx[:, h:][::-1]
-        dx_f, g_f = _lstm_backward(params.layers[layer_idx].fwd, layer_cache["fwd"], dh_f)
-        dx_b, g_b = _lstm_backward(params.layers[layer_idx].bwd, layer_cache["bwd"], dh_b)
-        grads.layers[layer_idx] = BiLstmParams(fwd=g_f, bwd=g_b)
+        dx_f = _lstm_backward(_direction(params, layer_idx, "fwd"), layer_cache["fwd"],
+                              dx[:, :h], _direction(grads, layer_idx, "fwd"))
+        dx_b = _lstm_backward(_direction(params, layer_idx, "bwd"), layer_cache["bwd"],
+                              dx[:, h:][::-1], _direction(grads, layer_idx, "bwd"))
         dx = dx_f + dx_b[::-1]
     return loss, grads
 
 
 @dataclass
 class OptimizerState:
-    m: dict
-    v: dict
+    """Adam moments m and v, flat like the parameters, and two scratch
+    vectors of the same size, so that a step allocates nothing."""
+
+    m: np.ndarray
+    v: np.ndarray
     step: int
     learning_rate: float
+    scratch: tuple
 
     @classmethod
     def fresh(cls, params: ModelParameters, learning_rate: float = 1e-4):
-        names = named_arrays(params)
-        return cls(
-            m={k: np.zeros_like(a) for k, a in names.items()},
-            v={k: np.zeros_like(a) for k, a in names.items()},
-            step=0,
-            learning_rate=learning_rate,
-        )
+        n = params.flat.size
+        return cls(m=np.zeros(n), v=np.zeros(n), step=0, learning_rate=learning_rate,
+                   scratch=(np.empty(n), np.empty(n)))
 
 
 def adam_step(
@@ -334,25 +303,34 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ):
-    """One bias-corrected Adam update; returns (new_params, new_state)."""
-    new_params = clone_params(params)
-    new_m = {}
-    new_v = {}
-    step = state.step + 1
-    p_arrays = named_arrays(new_params)
-    g_arrays = named_arrays(grads)
-    for name, p in p_arrays.items():
-        g = g_arrays[name]
-        m = beta1 * state.m[name] + (1.0 - beta1) * g
-        v = beta2 * state.v[name] + (1.0 - beta2) * g**2
-        m_hat = m / (1.0 - beta1**step)
-        v_hat = v / (1.0 - beta2**step)
-        p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
-        new_m[name] = m
-        new_v[name] = v
-    return new_params, OptimizerState(
-        m=new_m, v=new_v, step=step, learning_rate=state.learning_rate
-    )
+    """One bias-corrected Adam update (Kingma & Ba 2014, Algorithm 1), made
+    in place on params, state.m and state.v; returns (params, state).
+
+    Every element takes the operations of
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * g**2
+        p -= lr * (m / (1 - beta1**step)) / (sqrt(v / (1 - beta2**step)) + eps)
+    in exactly this order, with nothing fused or regrouped, so the update is
+    that formula bit for bit.
+    """
+    g, m, v = grads.flat, state.m, state.v
+    a, b = state.scratch
+    state.step += 1
+    np.multiply(g, 1.0 - beta1, out=a)
+    m *= beta1
+    m += a
+    np.square(g, out=a)
+    a *= 1.0 - beta2
+    v *= beta2
+    v += a
+    np.divide(m, 1.0 - beta1**state.step, out=a)
+    a *= state.learning_rate
+    np.divide(v, 1.0 - beta2**state.step, out=b)
+    np.sqrt(b, out=b)
+    b += eps
+    a /= b
+    params.flat -= a
+    return params, state
 
 
 @dataclass(frozen=True)
@@ -395,7 +373,8 @@ def train(manifest_entries, net_cfg: NetworkConfig, hyper: TrainingConfig):
     Returns (params, log) where log is a list of per-epoch dicts with mean
     loss terms. Deterministic for a fixed seed. On a non-finite loss the
     run aborts and the last finished epoch's parameters are returned with
-    the log entry flagged.
+    the log entry flagged. The returned parameters are a copy taken at the
+    end of an epoch, never the buffer that Adam updates in place.
     """
     entries = [e for e in manifest_entries if e.split == "train"]
     if not entries:
@@ -443,7 +422,7 @@ def train(manifest_entries, net_cfg: NetworkConfig, hyper: TrainingConfig):
             }
         )
         last_good = clone_params(params)
-    return params, log
+    return last_good, log
 
 
 def write_training_log(log, path) -> None:
@@ -515,13 +494,16 @@ def load_checkpoint(path):
         input_dim, hidden, layers, k, dropout, train_lambda = struct.unpack(
             "<IIIIdd", take(f, 32, "config")
         )
-        cfg = NetworkConfig(
-            input_dim=input_dim,
-            hidden=hidden,
-            num_bilstm_layers=layers,
-            embedding_dim=k,
-            dropout_rate=dropout,
-        )
+        try:
+            cfg = NetworkConfig(
+                input_dim=input_dim,
+                hidden=hidden,
+                num_bilstm_layers=layers,
+                embedding_dim=k,
+                dropout_rate=dropout,
+            )
+        except ConfigError as e:
+            raise CheckpointError(f"checkpoint header holds an invalid config: {e}") from e
         (num_blocks,) = struct.unpack("<I", take(f, 4, "block count"))
         blocks = {}
         for _ in range(num_blocks):
@@ -533,19 +515,21 @@ def load_checkpoint(path):
             )
             count = int(np.prod(shape)) if shape else 1
             data = np.frombuffer(take(f, 4 * count, f"block {name}"), dtype="<f4")
-            blocks[name] = data.reshape(shape).astype(np.float64)
-    params = init_params(cfg, seed=0)
-    expected = named_arrays(params)
+            blocks[name] = data.reshape(shape)
+    shapes = layout(cfg)
+    expected = dict(shapes)
     if set(blocks) != set(expected):
         raise CheckpointError(
             f"parameter blocks {sorted(blocks)} do not match config-implied "
             f"blocks {sorted(expected)}"
         )
-    for name, arr in expected.items():
-        if blocks[name].shape != arr.shape:
+    for name, shape in expected.items():
+        if blocks[name].shape != shape:
             raise CheckpointError(
-                f"block {name} has shape {blocks[name].shape}, expected {arr.shape}"
+                f"block {name} has shape {blocks[name].shape}, expected {shape}"
             )
+    params = ModelParameters(shapes)
+    for name, arr in params.arrays.items():
         arr[...] = blocks[name]
     meta = {"train_lambda": train_lambda}
     return params, cfg, meta

@@ -18,6 +18,9 @@ def read_wav(path, expected_rate: int = REQUIRED_RATE) -> Waveform:
         f = wave.open(str(path), "rb")
     except OSError as e:
         raise IoError(f"cannot read {path}: {e}") from e
+    except (wave.Error, EOFError) as e:  # EOFError: an empty or truncated header
+        reason = str(e) or "truncated header"
+        raise AudioFormatError(f"{path}: not a readable WAV file: {reason}") from e
     with f:
         channels = f.getnchannels()
         width = f.getsampwidth()
@@ -27,6 +30,8 @@ def read_wav(path, expected_rate: int = REQUIRED_RATE) -> Waveform:
         raise AudioFormatError(f"{path}: expected mono, got {channels} channels")
     if width != 2:
         raise AudioFormatError(f"{path}: expected 16-bit PCM, got {8 * width}-bit")
+    if len(raw) % width:
+        raise AudioFormatError(f"{path}: sample data ends inside a sample")
     if rate != expected_rate:
         raise AudioFormatError(f"{path}: expected {expected_rate} Hz, got {rate} Hz")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / _SCALE

@@ -202,6 +202,15 @@ class TestErrors:
                    "--oracle-ibm", "--refs", tmp_path / "a.wav", tmp_path / "b.wav")
         assert code == 4
 
+    @pytest.mark.parametrize("content", [b"not a wav", b""])
+    def test_non_wav_input(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.wav"
+        bad.write_bytes(content)
+        code = run("separate", "--mix", bad, "--out", tmp_path / "o",
+                   "--oracle-ibm", "--refs", bad, bad)
+        assert code == 3
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_missing_manifest(self, tmp_path):
         code = run("train", "--manifest", tmp_path / "nope.jsonl", "--out", tmp_path / "o")
         assert code == 4

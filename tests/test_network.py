@@ -1,3 +1,6 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,9 @@ from orthosep.network import (
     NetworkConfig,
     OptimizerState,
     TrainingConfig,
+    _direction,
+    _lstm_backward,
+    _lstm_forward,
     adam_step,
     backward,
     clone_params,
@@ -65,10 +71,11 @@ class TestForward:
         for arr in named_arrays(params).values():
             arr[...] = 0.0
         rng = np.random.default_rng(5)
-        params.dense_b[...] = rng.uniform(-1, 1, params.dense_b.shape)
+        dense_b = named_arrays(params)["dense.b"]
+        dense_b[...] = rng.uniform(-1, 1, dense_b.shape)
         features, _ = tiny_case(3, t_frames=4)
         v = forward(params, TINY, features)
-        per_bin = np.tanh(params.dense_b).reshape(TINY.input_dim, TINY.embedding_dim)
+        per_bin = np.tanh(dense_b).reshape(TINY.input_dim, TINY.embedding_dim)
         expected = embedding.normalize_rows(per_bin)
         for t in range(4):
             assert np.allclose(v[t * 4 : (t + 1) * 4], expected, atol=1e-12)
@@ -151,12 +158,92 @@ class TestBackward:
         assert loss.total == pytest.approx(direct.total, abs=1e-9)
 
 
+def reference_lstm_backward(wx, wh, cache, dh_out):
+    """The per-step BPTT loop that the hoisted one replaced: the weight
+    products and dx are formed inside the time loop, one np.outer per
+    step. Returns (dx, dwx, dwh, db)."""
+    x, i, f, g, o, c, h = (cache[k] for k in ("x", "i", "f", "g", "o", "c", "h"))
+    t_steps, h_dim = i.shape
+    dwx, dwh, db = np.zeros_like(wx), np.zeros_like(wh), np.zeros(4 * h_dim)
+    dx = np.empty_like(x)
+    dh_next = np.zeros(h_dim)
+    dc_next = np.zeros(h_dim)
+    for t in range(t_steps - 1, -1, -1):
+        c_prev = c[t - 1] if t > 0 else np.zeros(h_dim)
+        h_prev = h[t - 1] if t > 0 else np.zeros(h_dim)
+        tanh_c = np.tanh(c[t])
+        dh = dh_out[t] + dh_next
+        do = dh * tanh_c
+        dc = dh * o[t] * (1.0 - tanh_c**2) + dc_next
+        dz = np.concatenate([dc * g[t] * i[t] * (1.0 - i[t]),
+                             dc * c_prev * f[t] * (1.0 - f[t]),
+                             dc * i[t] * (1.0 - g[t] ** 2),
+                             do * o[t] * (1.0 - o[t])])
+        dwx += np.outer(x[t], dz)
+        dwh += np.outer(h_prev, dz)
+        db += dz
+        dx[t] = dz @ wx.T
+        dh_next = dz @ wh.T
+        dc_next = dc * f[t]
+    return dx, dwx, dwh, db
+
+
+class TestLstmBackward:
+    @pytest.mark.parametrize("t_steps", [1, 6])
+    @pytest.mark.parametrize("layer", [0, 1])
+    def test_matches_per_step_loop(self, t_steps, layer):
+        params = init_params(TINY, seed=4)
+        w = _direction(params, layer, "fwd")
+        rng = np.random.default_rng(t_steps)
+        _, cache = _lstm_forward(w, rng.standard_normal((t_steps, w[0].shape[0])))
+        dh_out = rng.standard_normal((t_steps, TINY.hidden))
+        grads = _direction(zeros_like_params(params), layer, "fwd")
+        dx = _lstm_backward(w, cache, dh_out, grads)
+        for got, want in zip((dx, *grads), reference_lstm_backward(w[0], w[1], cache, dh_out)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def reference_adam_step(params, grads, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The per-tensor Adam loop that the flat in-place update replaced: new
+    parameter, m and v arrays for every tensor at every step."""
+    step += 1
+    new_params, new_m, new_v = {}, {}, {}
+    for name, p in params.items():
+        g = grads[name]
+        new_m[name] = beta1 * m[name] + (1.0 - beta1) * g
+        new_v[name] = beta2 * v[name] + (1.0 - beta2) * g**2
+        m_hat = new_m[name] / (1.0 - beta1**step)
+        v_hat = new_v[name] / (1.0 - beta2**step)
+        new_params[name] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return new_params, new_m, new_v, step
+
+
 class TestAdam:
+    def test_matches_per_tensor_loop_bit_for_bit(self):
+        params = init_params(TINY, seed=3)
+        ref = {k: a.copy() for k, a in named_arrays(params).items()}
+        m = {k: np.zeros_like(a) for k, a in ref.items()}
+        v = {k: np.zeros_like(a) for k, a in ref.items()}
+        step = 0
+        state = OptimizerState.fresh(params, 1e-2)
+        grads = zeros_like_params(params)
+        rng = np.random.default_rng(1)
+        for _ in range(6):
+            grads.flat[...] = rng.standard_normal(grads.flat.shape)
+            params, state = adam_step(params, grads, state)
+            ref, m, v, step = reference_adam_step(ref, named_arrays(grads), m, v, step, 1e-2)
+        assert state.step == step
+        for name, arr in named_arrays(params).items():
+            assert np.array_equal(arr, ref[name])
+        assert np.array_equal(state.m, np.concatenate([a.ravel() for a in m.values()]))
+        assert np.array_equal(state.v, np.concatenate([a.ravel() for a in v.values()]))
+
     def test_zero_gradient_no_change(self):
         params = init_params(TINY, seed=0)
         grads = zeros_like_params(params)
         state = OptimizerState.fresh(params, 1e-3)
-        new_params, new_state = adam_step(params, grads, state)
+        new_params, new_state = adam_step(clone_params(params), grads, state)
         for name, arr in named_arrays(params).items():
             assert np.array_equal(arr, named_arrays(new_params)[name])
         assert new_state.step == 1
@@ -169,7 +256,7 @@ class TestAdam:
             arr[...] = rng.standard_normal(arr.shape)
         lr, eps = 1e-3, 1e-8
         state = OptimizerState.fresh(params, lr)
-        new_params, _ = adam_step(params, grads, state, eps=eps)
+        new_params, _ = adam_step(clone_params(params), grads, state, eps=eps)
         for name, p_old in named_arrays(params).items():
             g = named_arrays(grads)[name]
             # bias-corrected first step: m_hat = g, v_hat = g^2
@@ -185,7 +272,7 @@ class TestAdam:
         prev = named_arrays(params)["dense.b"].copy()
         for _ in range(500):
             params, state = adam_step(params, grads, state)
-        cur = named_arrays(params)["dense.b"]
+        cur = named_arrays(params)["dense.b"].copy()
         last_step = None
         params, state = adam_step(params, grads, state)
         last_step = np.abs(named_arrays(params)["dense.b"] - cur)
@@ -262,6 +349,14 @@ class TestCheckpoint:
         for name, arr in named_arrays(params).items():
             assert np.array_equal(arr, named_arrays(loaded)[name])
 
+    def test_initial_checkpoint_bytes_pinned(self, tmp_path):
+        # pins the initialization draw order and the block layout on disk
+        path = tmp_path / "model.osep"
+        save_checkpoint(init_params(TINY, seed=0), TINY, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "4bea8f11804b29b52c99370f4ce98e688e3249f2c14a5ba4d7b228a980ff1d2b"
+        )
+
     def test_save_is_deterministic(self, tmp_path):
         params = init_params(TINY, seed=4)
         a, b = tmp_path / "a.osep", tmp_path / "b.osep"
@@ -283,9 +378,14 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="magic"):
             load_checkpoint(path)
 
-    def test_dimension_mismatch_reported(self, tmp_path):
-        import struct
+    def test_zero_dimension_header_rejected(self, tmp_path):
+        path = tmp_path / "model.osep"
+        header = struct.pack("<IIIIdd", 0, 0, 0, 0, 0.5, -1.0)
+        path.write_bytes(b"OSEP" + struct.pack("<I", 1) + header + struct.pack("<I", 0))
+        with pytest.raises(CheckpointError, match="invalid config"):
+            load_checkpoint(path)
 
+    def test_dimension_mismatch_reported(self, tmp_path):
         path = tmp_path / "model.osep"
         save_checkpoint(init_params(TINY, seed=0), TINY, path)
         # rewrite the stored embedding_dim: blocks no longer fit the config

@@ -52,6 +52,14 @@ def test_rejects_8bit(tmp_path):
         read_wav(path)
 
 
+def test_rejects_data_cut_inside_a_sample(tmp_path):
+    path = tmp_path / "x.wav"
+    write_wav(path, Waveform(np.zeros(10), 16000))
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(AudioFormatError, match="inside a sample"):
+        read_wav(path)
+
+
 def test_write_refuses_other_rate(tmp_path):
     with pytest.raises(AudioFormatError):
         write_wav(tmp_path / "x.wav", Waveform(np.zeros(10), 8000))
