@@ -5,6 +5,7 @@ import pytest
 
 from orthosep.cli import main
 from orthosep.dataset import read_manifest
+from orthosep.network import load_checkpoint, save_checkpoint
 from orthosep.signal import StftConfig, Waveform, apply_mask, stft
 from orthosep.wavio import read_wav, write_wav
 
@@ -210,6 +211,17 @@ class TestErrors:
                    "--oracle-ibm", "--refs", bad, bad)
         assert code == 3
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_non_finite_embeddings(self, corpus, trained, tmp_path, capsys):
+        params, cfg, _ = load_checkpoint(trained / "checkpoint.osep")
+        params.flat[:] = np.nan
+        bad = tmp_path / "nan.osep"
+        save_checkpoint(params, cfg, bad)
+        e = read_manifest(corpus / "manifest.jsonl")[0]
+        code = run("separate", "--checkpoint", bad, "--mix", e.mix_path,
+                   "--out", tmp_path / "o", "--fft-size", 256, "--hop", 128)
+        assert code == 3
+        assert "NaN or infinite" in capsys.readouterr().err
 
     def test_missing_manifest(self, tmp_path):
         code = run("train", "--manifest", tmp_path / "nope.jsonl", "--out", tmp_path / "o")

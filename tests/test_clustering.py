@@ -24,9 +24,42 @@ def brute_force_two_partition_inertia(x):
     return best
 
 
+def lloyd_direct(x, centroids, max_iter, tol):
+    """Reference oracle: Lloyd iterations with distances from a direct
+    (N, C, K) difference array and centroids as per-cluster means."""
+    prev_inertia = np.inf
+    iterations = 0
+    for _ in range(max_iter):
+        iterations += 1
+        d2 = np.sum((x[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        labels = np.argmin(d2, axis=1)
+        inertia = float(d2[np.arange(len(x)), labels].sum())
+        assert inertia <= prev_inertia + 1e-9 * max(1.0, prev_inertia)
+        prev_inertia = inertia
+        new_centroids = centroids.copy()
+        for j in range(centroids.shape[0]):
+            members = x[labels == j]
+            if len(members):
+                new_centroids[j] = members.mean(axis=0)
+            else:
+                # re-seed an empty cluster to the farthest point
+                far = np.argmax(d2[np.arange(len(x)), labels])
+                new_centroids[j] = x[far]
+        shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
+        centroids = new_centroids
+        if shift < tol:
+            break
+    d2 = np.sum((x[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+    labels = np.argmin(d2, axis=1)
+    inertia = float(d2[np.arange(len(x)), labels].sum())
+    return labels, centroids, inertia, iterations
+
+
 def hartigan_refine_loop(x, labels, c, max_passes=50):
-    """Reference oracle: Hartigan's single-point rule as a per-point loop."""
+    """Reference oracle: Hartigan's single-point rule as a per-point loop.
+    Returns the labels and the number of moves."""
     labels = labels.copy()
+    moves = 0
     counts = np.bincount(labels, minlength=c).astype(np.float64)
     sums = np.zeros((c, x.shape[1]))
     for j in range(c):
@@ -55,9 +88,10 @@ def hartigan_refine_loop(x, labels, c, max_passes=50):
                 counts[best_b] += 1.0
                 labels[i] = best_b
                 improved = True
+                moves += 1
         if not improved:
             break
-    return labels
+    return labels, moves
 
 
 def inertia_of(x, labels, c):
@@ -89,14 +123,16 @@ class TestHartigan:
         else:
             centroids = clustering._kmeans_pp_init(x, c, rng)
             labels = clustering._lloyd(x, centroids, 300, 1e-6)[0]
-        expected = hartigan_refine_loop(x, labels, c)
-        assert np.array_equal(clustering._hartigan_refine(x, labels, c), expected)
+        refined, moves = clustering._hartigan_refine(x, labels, c)
+        expected, expected_moves = hartigan_refine_loop(x, labels, c)
+        assert np.array_equal(refined, expected)
+        assert moves == expected_moves
 
     def test_empty_cluster_stays_empty(self):
         x = clouds(1, 50, 3, 4)
         labels = np.random.default_rng(1).integers(0, 2, 50)
-        refined = clustering._hartigan_refine(x, labels, 3)
-        assert np.array_equal(refined, hartigan_refine_loop(x, labels, 3))
+        refined, _ = clustering._hartigan_refine(x, labels, 3)
+        assert np.array_equal(refined, hartigan_refine_loop(x, labels, 3)[0])
         assert not np.any(refined == 2)
 
     def test_near_tie_goes_to_lowest_index(self):
@@ -104,9 +140,10 @@ class TestHartigan:
         # a target must beat the best so far by more than 1e-12
         x = np.array([[0.0], [30.0], [10.0], [10.0], [-10.0 + 2e-14], [-10.0 + 2e-14]])
         labels = np.array([0, 0, 1, 1, 2, 2])
-        refined = clustering._hartigan_refine(x, labels, 3)
+        refined, moves = clustering._hartigan_refine(x, labels, 3)
         assert np.array_equal(refined, [1, 0, 1, 1, 2, 2])
-        assert np.array_equal(refined, hartigan_refine_loop(x, labels, 3))
+        assert moves == 1
+        assert np.array_equal(refined, hartigan_refine_loop(x, labels, 3)[0])
 
     @pytest.mark.parametrize("seed", range(4))
     def test_no_single_move_lowers_inertia(self, seed):
@@ -131,11 +168,67 @@ class TestHartigan:
         def scramble(x, labels, c):
             worse = labels.copy()
             worse[::2] = 1 - worse[::2]
-            return worse
+            return worse, len(worse[::2])
 
         monkeypatch.setattr(clustering, "_hartigan_refine", scramble)
         with pytest.raises(OrthosepError, match="inertia increased"):
             kmeans(x, 2, seed=0)
+
+
+class TestLloyd:
+    @pytest.mark.parametrize("c", [2, 3, 4])
+    @pytest.mark.parametrize("n,k", [(7, 1), (60, 2), (300, 5), (2500, 20)])
+    def test_matches_direct_difference(self, c, n, k):
+        seed = 100 * c + n + k
+        x = clouds(seed, n, c, k)
+        for r in range(3):
+            init = clustering._kmeans_pp_init(x, c, np.random.default_rng([seed, r]))
+            labels, centroids, inertia, iterations = clustering._lloyd(x, init, 300, 1e-6)
+            e_labels, e_centroids, e_inertia, e_iterations = lloyd_direct(x, init, 300, 1e-6)
+            assert np.array_equal(labels, e_labels)
+            assert iterations == e_iterations
+            assert inertia == pytest.approx(e_inertia, rel=1e-9, abs=1e-12)
+            assert np.allclose(centroids, e_centroids, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("c", [2, 3, 4])
+    def test_far_from_origin(self, c):
+        # ‖x‖² ≈ 2e13 here, so the uncentred expansion loses every digit
+        # of a distance of order 1
+        x = clouds(c, 1000, c, 2) + 1e6
+        init = clustering._kmeans_pp_init(x, c, np.random.default_rng(c))
+        labels, _, inertia, iterations = clustering._lloyd(x, init, 300, 1e-6)
+        e_labels, _, e_inertia, e_iterations = lloyd_direct(x, init, 300, 1e-6)
+        assert np.array_equal(labels, e_labels)
+        assert iterations == e_iterations
+        assert inertia == pytest.approx(e_inertia, rel=1e-9)
+
+    def test_identical_centroids_reseed_farthest_point(self):
+        x = clouds(5, 200, 2, 3)
+        init = np.stack([x[0], x[0]])
+        # every point ties and goes to cluster 0; cluster 1 is empty
+        far = np.argmax(np.sum((x - x[0]) ** 2, axis=1))
+        _, centroids, _, _ = clustering._lloyd(x, init, 1, 1e-6)
+        assert np.allclose(centroids[0], x.mean(axis=0), rtol=0, atol=1e-12)
+        assert np.allclose(centroids[1], x[far], rtol=0, atol=1e-12)
+        result = clustering._lloyd(x, init, 300, 1e-6)
+        expected = lloyd_direct(x, init, 300, 1e-6)
+        assert np.array_equal(result[0], expected[0])
+        assert result[3] == expected[3]
+
+    def test_far_centroid_reseeded(self):
+        x = clouds(6, 200, 3, 3)
+        init = np.vstack([clustering._kmeans_pp_init(x, 2, np.random.default_rng(6)),
+                          np.full((1, 3), 100.0)])
+        # no point is nearest to centroid 2, so it moves to the point
+        # farthest from its own centroid
+        d2 = np.sum((x[:, None, :] - init[None, :, :]) ** 2, axis=2)
+        far = np.argmax(d2.min(axis=1))
+        _, centroids, _, _ = clustering._lloyd(x, init, 1, 1e-6)
+        assert np.allclose(centroids[2], x[far], rtol=0, atol=1e-12)
+        labels, _, _, iterations = clustering._lloyd(x, init, 300, 1e-6)
+        expected = lloyd_direct(x, init, 300, 1e-6)
+        assert np.array_equal(labels, expected[0])
+        assert iterations == expected[3]
 
 
 class TestKmeans:
@@ -187,6 +280,25 @@ class TestKmeans:
         result = kmeans(x, 2, seed=0, restarts=10)
         optimal = brute_force_two_partition_inertia(x)
         assert result.inertia <= optimal * 1.10 + 1e-9
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input(self, bad):
+        x = np.random.default_rng(6).standard_normal((40, 3))
+        x[17, 1] = bad
+        with pytest.raises(DataError, match="NaN or infinite"):
+            kmeans(x, 2)
+
+    def test_diagnostics(self):
+        x = clouds(7, 300, 3, 4)
+        result = kmeans(x, 3, seed=7, restarts=4)
+        assert len(result.restart_inertias) == 4
+        assert result.inertia == min(result.restart_inertias)
+        winner = result.restart_inertias.index(result.inertia)
+        init = clustering._kmeans_pp_init(x, 3, np.random.default_rng([7, winner]))
+        labels, _, _, iterations = clustering._lloyd(x, init, 300, 1e-6)
+        assert result.iterations == iterations
+        assert result.hartigan_moves == hartigan_refine_loop(x, labels, 3)[1]
+        assert result.hartigan_moves > 0
 
 
 class TestMasksFromClusters:
