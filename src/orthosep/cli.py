@@ -53,11 +53,15 @@ def _load_config_file(path):
         return {}
     try:
         with open(path) as f:
-            return json.load(f)
+            cfg = json.load(f)
     except OSError as e:
         raise IoError(f"cannot read config file {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"invalid JSON in config file {path}: {e}") from e
+    if not isinstance(cfg, dict) or not all(isinstance(v, dict) for v in cfg.values()):
+        raise ConfigError(f"config file {path} must be a JSON object of sections, "
+                          f"each an object of settings")
+    return cfg
 
 
 def _resolve(args, file_cfg, section, key, default):
@@ -68,10 +72,17 @@ def _resolve(args, file_cfg, section, key, default):
     return file_cfg.get(section, {}).get(key, default)
 
 
+def _make_outdir(path):
+    outdir = Path(path)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise IoError(f"cannot create output directory {outdir}: {e}") from e
+    return outdir
+
+
 def _echo_config(outdir, effective):
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "effective-config.json", "w") as f:
+    with open(Path(outdir) / "effective-config.json", "w") as f:
         json.dump(effective, f, indent=2, sort_keys=True)
 
 
@@ -90,9 +101,8 @@ def cmd_synth(args, file_cfg):
         duration_s=float(_resolve(args, file_cfg, "corpus", "duration_s", 0.5)),
         seed=int(args.seed),
     )
-    outdir = Path(args.out)
+    outdir = _make_outdir(args.out)
     try:
-        outdir.mkdir(parents=True, exist_ok=True)
         entries = build_corpus(cfg)
         wav_dir = outdir / "wav"
         wav_dir.mkdir(exist_ok=True)
@@ -129,8 +139,7 @@ def cmd_train(args, file_cfg):
         seed=int(args.seed),
         stft=stft_cfg,
     )
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _make_outdir(args.out)
     params, log = train(entries, net_cfg, hyper)
     save_checkpoint(params, net_cfg, outdir / "checkpoint.osep", train_lambda=hyper.lam)
     write_training_log(log, outdir / "training_log.csv")
@@ -154,13 +163,14 @@ def cmd_train(args, file_cfg):
 
 
 def cmd_separate(args, file_cfg):
+    if args.sources < 2:
+        raise ConfigError(f"--sources must be at least 2, got {args.sources}")
     stft_cfg = _stft_config(args, file_cfg)
     mix = read_wav(args.mix)
     if mix.power() == 0.0:
         raise DataError("zero-power source")
     mix_spec = stft(mix, stft_cfg)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _make_outdir(args.out)
 
     if args.oracle_ibm:
         if not args.refs or len(args.refs) < 2:
@@ -215,8 +225,7 @@ def cmd_evaluate(args, file_cfg):
     models = _load_models(args)
     records = pipeline.evaluate_manifest(entries, models, stft_cfg, seed=int(args.seed))
     report = metrics.aggregate(records)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _make_outdir(args.out)
     metrics.records_to_csv(records, outdir / "records.csv")
     metrics.report_to_csv(report, outdir / "report.csv")
     text = metrics.report_to_text(report)
@@ -235,8 +244,7 @@ def cmd_export_cov(args, file_cfg):
     pooled = pipeline.pooled_embeddings(entries, params, net_cfg, stft_cfg)
     cov = embedding.covariance(pooled)
     ratio = embedding.off_diagonal_ratio(cov)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _make_outdir(args.out)
     embedding.covariance_to_csv(cov, outdir / "covariance.csv")
     _echo_config(outdir, {"command": "export-cov", "checkpoint": str(args.checkpoint),
                           "seed": args.seed})

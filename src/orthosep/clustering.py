@@ -34,7 +34,8 @@ def _kmeans_pp_init(x, c, rng):
             continue
         probs = d2 / total
         centroids[j] = x[rng.choice(n, p=probs)]
-        d2 = np.minimum(d2, np.sum((x - centroids[j]) ** 2, axis=1))
+        if j < c - 1:  # nothing reads the distances to the last centroid
+            d2 = np.minimum(d2, np.sum((x - centroids[j]) ** 2, axis=1))
     return centroids
 
 
@@ -43,6 +44,14 @@ def _check_not_increased(inertia, prev):
     rounding, which grows with the inertia itself."""
     if inertia > prev + 1e-9 * max(1.0, prev):
         raise OrthosepError(f"k-means inertia increased from {prev!r} to {inertia!r}")
+
+
+def _centre(x):
+    """Mean of the rows, the rows centred on it stored as columns, and
+    their squared norms."""
+    mu = x.mean(axis=0)
+    xt = (x - mu).T.copy()
+    return mu, xt, np.einsum("ij,ij->j", xt, xt)
 
 
 def _lloyd(x, centroids, max_iter, tol):
@@ -55,9 +64,7 @@ def _lloyd(x, centroids, max_iter, tol):
     catastrophically, so it runs on the data centred on its mean. The
     points are stored as columns: with few clusters, the product in this
     orientation is several times faster than (N, K)×(K, C)."""
-    mu = x.mean(axis=0)
-    xt = (x - mu).T.copy()
-    x2 = np.einsum("ij,ij->j", xt, xt)
+    mu, xt, x2 = _centre(x)
     centroids = centroids - mu
     c = centroids.shape[0]
     clusters = np.arange(c)[:, None]
@@ -85,9 +92,18 @@ def _lloyd(x, centroids, max_iter, tol):
 
 def _nearest(xt, x2, centroids):
     """Label of each column's nearest centroid (lowest index on ties) and
-    its squared distance, clipped at zero against rounding."""
+    its squared distance, clipped at zero against rounding.
+
+    A running strict comparison over the few centroid rows picks the same
+    labels as ``argmin`` along the short, strided axis 0 at a fraction of
+    its cost."""
     d2 = x2 - 2.0 * (centroids @ xt) + np.einsum("ij,ij->i", centroids, centroids)[:, None]
-    return np.argmin(d2, axis=0), np.maximum(d2.min(axis=0), 0.0)
+    labels = np.zeros(d2.shape[1], dtype=np.intp)
+    best = d2[0]
+    for j in range(1, len(d2)):
+        labels[d2[j] < best] = j
+        best = np.minimum(best, d2[j])
+    return labels, np.maximum(best, 0.0)
 
 
 # points judged at once right after a move: the next mover is often close
@@ -109,10 +125,13 @@ def _hartigan_refine(x, labels, c, max_passes=50):
     next point is judged (Hartigan & Wong 1979). Rather than visit one
     point at a time, numpy judges a block of points against the current
     sums and counts and the first mover in it is applied; the scan then
-    resumes right after that point. A block with no mover is skipped and
-    the next one is twice as long, so a pass costs O(N + moves·block)
-    array work and a few Python steps per move, not one per point. The
-    labels equal those of a per-point loop.
+    resumes right after that point. The first block of a pass is the whole
+    array; after a move a block holds 16 points, and a block with no mover
+    is skipped and the next one is twice as long, so a pass costs
+    O(N + moves·block) array work and a few Python steps per move, not one
+    per point. Within a block, ``_screen`` discards the rows that cannot
+    move and only the rest get the exact rule. The labels equal those of
+    a per-point loop.
     """
     labels = labels.copy()
     n = x.shape[0]
@@ -122,16 +141,19 @@ def _hartigan_refine(x, labels, c, max_passes=50):
     for j in range(c):
         if counts[j]:
             sums[j] = x[labels == j].sum(axis=0)
+    mu, xt, x2 = _centre(x)
     for _ in range(max_passes):
         improved = False
-        start, size = 0, _SCAN_BLOCK
+        start, size = 0, n
         while start < n:
             stop = min(start + size, n)
-            offset, b = _first_move(x[start:stop], labels[start:stop], sums, counts)
+            rows = start + _screen(xt[:, start:stop], x2[start:stop], labels[start:stop],
+                                   sums, counts, mu)
+            offset, b = _first_move(x[rows], labels[rows], sums, counts) if len(rows) else (-1, -1)
             if offset < 0:
                 start, size = stop, 2 * size
                 continue
-            i = start + offset
+            i = rows[offset]
             a = labels[i]
             sums[a] -= x[i]
             counts[a] -= 1.0
@@ -144,6 +166,31 @@ def _hartigan_refine(x, labels, c, max_passes=50):
         if not improved:
             break
     return labels, moves
+
+
+def _screen(xt, x2, lb, sums, counts, mu):
+    """Offsets of the columns of ``xt`` (points centred on ``mu``) that
+    Hartigan's rule might move, in index order.
+
+    Every distance comes from one small product, as in Lloyd:
+    ‖x − m‖² = ‖x − μ‖² − 2·(x − μ)·(m − μ) + ‖m − μ‖². Its rounding error
+    is a few K·eps·(‖x − μ‖² + ‖m − μ‖²), so a point is kept when its best
+    screened gain is above 1e-12 − margin, with the margin
+    1e-9·(max‖x − μ‖² + max‖m − μ‖² + 1) many orders of magnitude wider:
+    a discarded point could not have moved under the exact rule."""
+    live = np.flatnonzero(counts)
+    mc = sums[live] / counts[live][:, None] - mu
+    m2 = np.einsum("ij,ij->i", mc, mc)
+    d = x2 - 2.0 * (mc @ xt) + m2[:, None]
+    cols = np.arange(len(lb))
+    own_row = np.searchsorted(live, lb)
+    own = counts[lb]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        removal = own / (own - 1.0) * d[own_row, cols]
+    gain = removal - (counts[live] / (counts[live] + 1.0))[:, None] * d
+    gain[own_row, cols] = -np.inf
+    margin = 1e-9 * (float(x2.max()) + float(m2.max()) + 1.0)
+    return np.flatnonzero((own > 1) & (gain.max(axis=0) > 1e-12 - margin))
 
 
 def _first_move(xb, lb, sums, counts):
@@ -181,8 +228,11 @@ def kmeans(
     tol: float = 1e-6,
     restarts: int = 5,
 ) -> ClusterResult:
-    """Seeded k-means++ with Lloyd iterations and deterministic restarts;
-    the minimum-inertia restart wins (lowest restart index on ties)."""
+    """Seeded k-means++ with Lloyd iterations, Hartigan refinement and
+    deterministic restarts. The minimum-inertia restart wins, but a later
+    restart must beat the best so far by more than a relative 1e-12, so the
+    last bits of a sum never choose between restarts that reach the same
+    partition."""
     x = np.asarray(v, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"expected (N, K) matrix, got shape {x.shape}")
@@ -192,23 +242,36 @@ def kmeans(
         raise DataError("k-means input holds NaN or infinite values")
     best = None
     restart_inertias = []
+    # Hartigan is a deterministic function of the partition, and for C=2
+    # symmetric under swapping the two labels: a restart whose Lloyd
+    # partition an earlier one reached ends where that one ended. Maps the
+    # partition to its refined inertia, or to None if Hartigan moved nothing.
+    refined_inertia = {}
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
         centroids = _kmeans_pp_init(x, c, rng)
         labels, centroids, inertia, iterations = _lloyd(x, centroids, max_iter, tol)
-        refined, moves = _hartigan_refine(x, labels, c)
-        if moves:
-            labels = refined
-            for j in range(c):
-                members = x[labels == j]
-                if len(members):
-                    centroids[j] = members.mean(axis=0)
-            diffs = x - centroids[labels]
-            new_inertia = float(np.sum(diffs * diffs))
-            _check_not_increased(new_inertia, inertia)
-            inertia = new_inertia
+        key = (labels ^ labels[0] if c == 2 else labels).tobytes()
+        moves = 0
+        if key not in refined_inertia:
+            refined, moves = _hartigan_refine(x, labels, c)
+            if moves:
+                labels = refined
+                for j in range(c):
+                    members = x[labels == j]
+                    if len(members):
+                        centroids[j] = members.mean(axis=0)
+                diffs = x - centroids[labels]
+                new_inertia = float(np.sum(diffs * diffs))
+                _check_not_increased(new_inertia, inertia)
+                inertia = new_inertia
+            refined_inertia[key] = inertia if moves else None
+        elif refined_inertia[key] is not None:
+            # equal to the earlier restart's inertia, so it cannot win
+            restart_inertias.append(refined_inertia[key])
+            continue
         restart_inertias.append(inertia)
-        if best is None or inertia < best.inertia:
+        if best is None or best.inertia - inertia > 1e-12 * best.inertia:
             best = ClusterResult(
                 assignments=labels, centroids=centroids, inertia=inertia,
                 iterations=iterations, hartigan_moves=moves,

@@ -198,7 +198,6 @@ def _forward_cache(params, cfg, features, train_mode, rng_seed):
         "layers": layer_caches,
         "last_hidden": x,
         "a": a,
-        "v_raw": v_raw,
         "norms": norms,
         "v": v,
     }
@@ -346,6 +345,8 @@ class TrainingConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError(f"need at least one epoch, got {self.epochs}")
+        if not 0.0 <= self.lam < np.inf:
+            raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
         # zero is allowed: it runs the whole loop and leaves the parameters as set
         if not 0.0 <= self.learning_rate < np.inf:
             raise ConfigError(

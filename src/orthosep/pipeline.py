@@ -17,6 +17,7 @@ import numpy as np
 from . import metrics
 from .clustering import kmeans, masks_from_clusters, select_target
 from .dataset import compute_ibm, indicator_to_masks, render_mixture
+from .errors import DataError
 from .network import forward
 from .signal import StftConfig, Spectrogram, apply_mask, istft, log_magnitude, stft
 
@@ -117,6 +118,8 @@ def evaluate_manifest(entries, models, stft_cfg: StftConfig, seed: int = 0,
     eval_entries = sorted(
         (e for e in entries if e.split == "eval"), key=lambda e: e.id
     )
+    if not eval_entries:
+        raise DataError("the manifest has no eval entries")
     records = []
     for idx, entry in enumerate(eval_entries):
         records.extend(
@@ -135,4 +138,6 @@ def pooled_embeddings(entries, params, net_cfg, stft_cfg: StftConfig,
         mixture, _, _ = render_mixture(entry)
         features = log_magnitude(stft(mixture, stft_cfg), floor_eps)
         rows.append(forward(params, net_cfg, features, train_mode=False))
+    if not rows:
+        raise DataError(f"the manifest has no {split} entries")
     return np.vstack(rows)

@@ -235,7 +235,8 @@ class TestErrors:
         code = run("train", "--manifest", manifest, "--out", tmp_path / "o")
         assert code == 3
 
-    @pytest.mark.parametrize("flag,value", [("--epochs", 0), ("--lr", -1e-3), ("--lr", "nan")])
+    @pytest.mark.parametrize("flag,value", [("--epochs", 0), ("--lr", -1e-3), ("--lr", "nan"),
+                                            ("--lambda", "nan"), ("--lambda", "inf")])
     def test_bad_training_hyperparameters(self, corpus, tmp_path, flag, value):
         out = tmp_path / "o"
         code = run("train", "--manifest", corpus / "manifest.jsonl", "--out", out,
@@ -251,3 +252,52 @@ class TestErrors:
         code = run("--config", cfg, "--seed", 3, "synth", "--out", tmp_path / "o")
         assert code == 0
         assert len(read_manifest(tmp_path / "o" / "manifest.jsonl")) == 30
+
+    @pytest.mark.parametrize("content", ["[1, 2]", '{"corpus": 5}'])
+    def test_config_not_an_object_of_sections(self, tmp_path, capsys, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(content)
+        code = run("--config", cfg, "synth", "--out", tmp_path / "o")
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "export-cov"])
+    def test_no_eval_entries(self, corpus, trained, tmp_path, capsys, command):
+        lines = (corpus / "manifest.jsonl").read_text().splitlines()
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("".join(line + "\n" for line in lines
+                                    if json.loads(line)["split"] != "eval"))
+        code = run(command, "--manifest", manifest, "--checkpoint", trained / "checkpoint.osep",
+                   "--out", tmp_path / "o", "--fft-size", 256, "--hop", 128)
+        assert code == 3
+        assert "no eval entries" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "train", "separate", "evaluate"])
+    def test_out_is_a_file(self, corpus, trained, tmp_path, capsys, command):
+        out = tmp_path / "taken"
+        out.write_text("not a directory")
+        e = read_manifest(corpus / "manifest.jsonl")[0]
+        manifest = corpus / "manifest.jsonl"
+        checkpoint = trained / "checkpoint.osep"
+        argv = {
+            "synth": ["--n-train", 10, "--n-val", 0, "--n-eval", 0, "--duration", 0.25],
+            "train": ["--manifest", manifest, "--hidden", 4, "--embedding-dim", 2,
+                      "--epochs", 1, "--fft-size", 256, "--hop", 128],
+            "separate": ["--mix", e.mix_path, "--oracle-ibm",
+                         "--refs", e.target_path, e.interferer_path],
+            "evaluate": ["--manifest", manifest, "--checkpoint", checkpoint,
+                         "--fft-size", 256, "--hop", 128],
+        }[command]
+        code = run(command, "--out", out, *argv)
+        assert code == 4
+        assert "Traceback" not in capsys.readouterr().err
+        assert out.read_text() == "not a directory"
+
+    def test_fewer_than_two_sources(self, corpus, trained, tmp_path, capsys):
+        e = read_manifest(corpus / "manifest.jsonl")[0]
+        code = run("separate", "--checkpoint", trained / "checkpoint.osep", "--mix", e.mix_path,
+                   "--out", tmp_path / "o", "--sources", 1, "--fft-size", 256, "--hop", 128)
+        assert code == 2
+        assert "--sources" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()

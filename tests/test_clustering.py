@@ -94,6 +94,29 @@ def hartigan_refine_loop(x, labels, c, max_passes=50):
     return labels, moves
 
 
+def kmeans_reference(x, c, seed=0, max_iter=300, tol=1e-6, restarts=5):
+    """Reference oracle: the restart loop refining every restart with the
+    per-point Hartigan loop; nothing is skipped or screened."""
+    best, restart_inertias = None, []
+    for r in range(restarts):
+        init = clustering._kmeans_pp_init(x, c, np.random.default_rng([seed, r]))
+        labels, centroids, inertia, iterations = clustering._lloyd(x, init, max_iter, tol)
+        refined, moves = hartigan_refine_loop(x, labels, c)
+        if moves:
+            labels = refined
+            for j in range(c):
+                if np.any(labels == j):
+                    centroids[j] = x[labels == j].mean(axis=0)
+            diffs = x - centroids[labels]
+            inertia = float(np.sum(diffs * diffs))
+        restart_inertias.append(inertia)
+        if best is None or best.inertia - inertia > 1e-12 * best.inertia:
+            best = ClusterResult(assignments=labels, centroids=centroids, inertia=inertia,
+                                 iterations=iterations, hartigan_moves=moves)
+    best.restart_inertias = tuple(restart_inertias)
+    return best
+
+
 def inertia_of(x, labels, c):
     return sum(
         np.sum((x[labels == j] - x[labels == j].mean(axis=0)) ** 2)
@@ -161,6 +184,21 @@ class TestHartigan:
                 moved[i] = b
                 assert inertia_of(x, moved, c) > base - 1e-9
 
+    def test_gain_inside_screen_margin(self):
+        # point 2 gains 2.3e-10 by moving to cluster 1: above the 1e-12 of
+        # the rule, far inside the screen's margin (~1e-3 at this scale),
+        # and the screen's expansion alone puts it at -1.2e-10
+        s = 1000.0
+        x = np.array([[-s], [-s], [29.437251522859412], [s], [s], [s]])
+        labels = np.array([0, 0, 0, 1, 1, 1])
+        gain = 1.5 * np.sum((x[2] - x[:3].mean(axis=0)) ** 2) - 0.75 * np.sum((x[2] - s) ** 2)
+        assert 1e-12 < gain < 1e-9
+        refined, moves = clustering._hartigan_refine(x, labels, 2)
+        expected, expected_moves = hartigan_refine_loop(x, labels, 2)
+        assert np.array_equal(refined, expected)
+        assert moves == expected_moves
+        assert refined[2] == 1
+
     def test_worse_refinement_raises(self, monkeypatch):
         rng = np.random.default_rng(0)
         x = np.vstack([rng.normal(+1, 0.05, (20, 2)), rng.normal(-1, 0.05, (20, 2))])
@@ -201,6 +239,15 @@ class TestLloyd:
         assert np.array_equal(labels, e_labels)
         assert iterations == e_iterations
         assert inertia == pytest.approx(e_inertia, rel=1e-9)
+
+    def test_nearest_ties_go_to_lowest_index(self):
+        # distances from points 0, 2 and -3 to centroids 3, -1 and 1 are
+        # (9, 1, 1), (1, 9, 1) and (36, 4, 16), all exact in floats
+        x = np.array([[0.0], [2.0], [-3.0]])
+        centroids = np.array([[3.0], [-1.0], [1.0]])
+        labels, d2 = clustering._nearest(x.T.copy(), np.sum(x * x, axis=1), centroids)
+        assert labels.tolist() == [1, 0, 1]
+        assert d2.tolist() == [1.0, 1.0, 4.0]
 
     def test_identical_centroids_reseed_farthest_point(self):
         x = clouds(5, 200, 2, 3)
@@ -287,6 +334,72 @@ class TestKmeans:
         x[17, 1] = bad
         with pytest.raises(DataError, match="NaN or infinite"):
             kmeans(x, 2)
+
+    @pytest.mark.parametrize("c,seed,n,k,data", [
+        (2, 3, 200, 2, "plain"), (2, 3, 200, 2, "shifted"), (2, 4, 200, 2, "rounded"),
+        (3, 0, 400, 3, "plain"), (3, 0, 400, 3, "shifted"), (3, 4, 400, 3, "rounded"),
+    ])
+    def test_repeated_partitions_match_reference(self, monkeypatch, c, seed, n, k, data):
+        x = clouds(seed, n, c, k)
+        if data == "shifted":
+            x = x + 1e6
+        if data == "rounded":
+            x = np.round(8.0 * x) / 8.0
+            assert len(np.unique(x, axis=0)) < n  # duplicate points
+
+        def key(labels):
+            return (labels ^ labels[0] if c == 2 else labels).tobytes()
+
+        # some restarts end Lloyd in a partition that an earlier one
+        # reached, and Hartigan moves points from it; for C=2 a repeat has
+        # its labels swapped
+        partitions = [
+            clustering._lloyd(x, clustering._kmeans_pp_init(
+                x, c, np.random.default_rng([seed, r])), 300, 1e-6)[0]
+            for r in range(5)
+        ]
+        keys = [key(p) for p in partitions]
+        if c == 2:
+            assert any(key(p) == key(q) and p[0] != q[0] for p in partitions for q in partitions)
+        refine = clustering._hartigan_refine
+        calls = []
+
+        def counting_refine(x, labels, c):
+            out = refine(x, labels, c)
+            calls.append((key(labels), out[1]))
+            return out
+
+        monkeypatch.setattr(clustering, "_hartigan_refine", counting_refine)
+        result = kmeans(x, c, seed=seed)
+        # one refinement per distinct partition
+        assert len(calls) == len(set(keys)) < 5
+        assert any(keys.count(k) > 1 and moves for k, moves in calls)
+        expected = kmeans_reference(x, c, seed=seed)
+        assert np.array_equal(result.assignments, expected.assignments)
+        assert np.array_equal(result.centroids, expected.centroids)
+        assert result.inertia == expected.inertia
+        assert result.iterations == expected.iterations
+        assert result.restart_inertias == expected.restart_inertias
+        assert result.hartigan_moves == expected.hartigan_moves
+
+    def test_winner_must_beat_the_best_by_a_relative_1e_12(self, monkeypatch):
+        # every restart reaches the same Hartigan-stable partition; scale
+        # their Lloyd inertias so that only restart 3 is lower by more than
+        # the last bits
+        rng = np.random.default_rng(0)
+        x = np.vstack([rng.normal(+1, 0.05, (20, 2)), rng.normal(-1, 0.05, (20, 2))])
+        scale = iter([1.0, 1 - 1e-15, 1 - 2e-15, 1 - 1e-9, 1 - 1e-9 - 1e-15])
+        lloyd = clustering._lloyd
+
+        def scaled_lloyd(*args):
+            labels, centroids, inertia, iterations = lloyd(*args)
+            return labels, centroids, inertia * next(scale), iterations
+
+        monkeypatch.setattr(clustering, "_lloyd", scaled_lloyd)
+        result = kmeans(x, 2, seed=0)
+        assert result.hartigan_moves == 0
+        assert result.restart_inertias[4] < result.restart_inertias[3]
+        assert result.inertia == result.restart_inertias[3]
 
     def test_diagnostics(self):
         x = clouds(7, 300, 3, 4)
