@@ -15,15 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import embedding, metrics, pipeline
-from .dataset import (
-    CorpusConfig,
-    build_corpus,
-    compute_ibm,
-    indicator_to_masks,
-    read_manifest,
-    render_mixture,
-    write_manifest,
-)
+from .dataset import CorpusConfig, build_corpus, read_manifest, render_mixture, write_manifest
 from .errors import ConfigError, DataError, IoError, OrthosepError
 from .network import (
     NetworkConfig,
@@ -33,7 +25,7 @@ from .network import (
     train,
     write_training_log,
 )
-from .signal import StftConfig, apply_mask, istft, log_magnitude, stft
+from .signal import StftConfig, stft
 from .wavio import read_wav, write_wav
 
 EXIT_CODES = {
@@ -74,10 +66,7 @@ def _resolve(args, file_cfg, section, key, default):
 
 def _make_outdir(path):
     outdir = Path(path)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise IoError(f"cannot create output directory {outdir}: {e}") from e
+    outdir.mkdir(parents=True, exist_ok=True)
     return outdir
 
 
@@ -102,21 +91,18 @@ def cmd_synth(args, file_cfg):
         seed=int(args.seed),
     )
     outdir = _make_outdir(args.out)
-    try:
-        entries = build_corpus(cfg)
-        wav_dir = outdir / "wav"
-        wav_dir.mkdir(exist_ok=True)
-        for entry in entries:
-            mixture, target, interferer = render_mixture(entry)
-            entry.mix_path = str(wav_dir / f"{entry.id}-mix.wav")
-            entry.target_path = str(wav_dir / f"{entry.id}-target.wav")
-            entry.interferer_path = str(wav_dir / f"{entry.id}-interferer.wav")
-            write_wav(entry.mix_path, mixture)
-            write_wav(entry.target_path, target)
-            write_wav(entry.interferer_path, interferer)
-        write_manifest(entries, outdir / "manifest.jsonl")
-    except OSError as e:
-        raise IoError(f"cannot write corpus under {outdir}: {e}") from e
+    entries = build_corpus(cfg)
+    wav_dir = outdir / "wav"
+    wav_dir.mkdir(exist_ok=True)
+    for entry in entries:
+        mixture, target, interferer = render_mixture(entry)
+        entry.mix_path = str(wav_dir / f"{entry.id}-mix.wav")
+        entry.target_path = str(wav_dir / f"{entry.id}-target.wav")
+        entry.interferer_path = str(wav_dir / f"{entry.id}-interferer.wav")
+        write_wav(entry.mix_path, mixture)
+        write_wav(entry.target_path, target)
+        write_wav(entry.interferer_path, interferer)
+    write_manifest(entries, outdir / "manifest.jsonl")
     _echo_config(outdir, {"command": "synth", "corpus": cfg.__dict__, "seed": args.seed})
     print(f"wrote {len(entries)} mixtures to {outdir}")
     return 0
@@ -325,6 +311,9 @@ def main(argv=None):
     except OrthosepError as e:
         print(f"error [{e.category}]: {e}", file=sys.stderr)
         return EXIT_CODES.get(e.category, 1)
+    except OSError as e:  # a failed write or directory creation
+        print(f"error [io]: {e}", file=sys.stderr)
+        return EXIT_CODES["io"]
 
 
 if __name__ == "__main__":

@@ -63,7 +63,9 @@ def _syllable_envelope(n, sample_rate, rng, segment_s=0.08):
     gains = rng.uniform(0.0, 1.0, size=num_segments) ** 2 + 0.02
     env = np.repeat(gains, seg)[:n]
     ramp = int(0.010 * sample_rate)
-    if ramp > 1:
+    # smooth only where the ramp fits: np.convolve(mode="same") returns
+    # max(n, ramp) samples
+    if 1 < ramp <= n:
         kernel = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(ramp) / ramp)
         kernel /= kernel.sum()
         env = np.convolve(env, kernel, mode="same")
@@ -80,8 +82,9 @@ def synth_source(
 
     Identical (family, seed, duration) always yields bit-identical audio.
     """
-    if duration_s <= 0:
-        raise ConfigError(f"duration must be positive, got {duration_s}")
+    if not 0 < duration_s < np.inf or round(duration_s * sample_rate) < 1:
+        raise ConfigError(
+            f"duration must be finite and at least one sample long, got {duration_s}")
     rng = np.random.default_rng([seed, ord(family.id)])
     n = int(round(duration_s * sample_rate))
     t = np.arange(n) / sample_rate

@@ -122,18 +122,6 @@ def off_diagonal_ratio(c: np.ndarray) -> float:
     return (total - diag) / total
 
 
-def energy_row_mask(features_db_ref: np.ndarray, cutoff_db: float) -> np.ndarray:
-    """Boolean row selector keeping bins within cutoff_db of the maximum
-    power of a (T, F) magnitude-like matrix; flattened row-major.
-
-    Used to optionally drop near-silent bins from the training objective.
-    """
-    mag = np.asarray(features_db_ref, dtype=np.float64)
-    power_db = 20.0 * np.log10(np.maximum(np.abs(mag), 1e-300))
-    keep = power_db >= power_db.max() - cutoff_db
-    return keep.reshape(-1)
-
-
 def covariance_to_csv(c: np.ndarray, path) -> None:
     """Row-major full-precision CSV export of a covariance matrix."""
     c = np.asarray(c, dtype=np.float64)

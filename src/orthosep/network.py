@@ -226,26 +226,15 @@ def backward(
     lam: float,
     train_mode: bool = True,
     rng_seed: int = 0,
-    row_mask: np.ndarray = None,
 ):
     """Loss and reverse-mode parameter gradients of the combined objective
-    evaluated on the forward embeddings.
-
-    row_mask optionally restricts the objective to a boolean subset of
-    time-frequency bins (excluded rows contribute no loss or gradient).
-    """
+    over every time-frequency bin, evaluated on the forward embeddings."""
     v, cache = _forward_cache(params, cfg, features, train_mode, rng_seed)
     if not np.all(np.isfinite(v)):
         raise TrainingDiverged("non-finite tensor: embeddings")
 
-    if row_mask is not None:
-        row_mask = np.asarray(row_mask, dtype=bool)
-        loss = embedding.combined_loss(v[row_mask], y[row_mask], lam)
-        dv = np.zeros_like(v)
-        dv[row_mask] = embedding.loss_gradient(v[row_mask], y[row_mask], lam)
-    else:
-        loss = embedding.combined_loss(v, y, lam)
-        dv = embedding.loss_gradient(v, y, lam)
+    loss = embedding.combined_loss(v, y, lam)
+    dv = embedding.loss_gradient(v, y, lam)
     if not np.isfinite(loss.total):
         raise TrainingDiverged("non-finite tensor: loss")
 
@@ -339,8 +328,6 @@ class TrainingConfig:
     epochs: int = 50
     seed: int = 0
     stft: StftConfig = field(default_factory=StftConfig)
-    floor_eps: float = 1e-7
-    energy_cutoff_db: float = None  # keep all bins when None
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -354,18 +341,14 @@ class TrainingConfig:
             )
 
 
-def prepare_example(entry, stft_cfg: StftConfig, floor_eps: float = 1e-7,
-                    energy_cutoff_db: float = None):
-    """(features, label indicator, row mask) for one manifest entry."""
+def prepare_example(entry, stft_cfg: StftConfig):
+    """(features, label indicator, mixture spectrogram) for one manifest
+    entry. The features are those that separation computes from the same
+    mixture."""
     mixture, target, interferer = render_mixture(entry)
     mix_spec = stft(mixture, stft_cfg)
-    specs = [stft(target, stft_cfg), stft(interferer, stft_cfg)]
-    features = log_magnitude(mix_spec, floor_eps)
-    y = compute_ibm(specs)
-    row_mask = None
-    if energy_cutoff_db is not None:
-        row_mask = embedding.energy_row_mask(mix_spec.magnitude(), energy_cutoff_db)
-    return features, y, row_mask
+    y = compute_ibm([stft(target, stft_cfg), stft(interferer, stft_cfg)])
+    return log_magnitude(mix_spec), y, mix_spec
 
 
 def train(manifest_entries, net_cfg: NetworkConfig, hyper: TrainingConfig):
@@ -380,10 +363,7 @@ def train(manifest_entries, net_cfg: NetworkConfig, hyper: TrainingConfig):
     entries = [e for e in manifest_entries if e.split == "train"]
     if not entries:
         raise ConfigError("training split is empty")
-    examples = [
-        prepare_example(e, hyper.stft, hyper.floor_eps, hyper.energy_cutoff_db)
-        for e in entries
-    ]
+    examples = [prepare_example(e, hyper.stft)[:2] for e in entries]
     params = init_params(net_cfg, seed=hyper.seed)
     state = OptimizerState.fresh(params, hyper.learning_rate)
     log = []
@@ -393,7 +373,7 @@ def train(manifest_entries, net_cfg: NetworkConfig, hyper: TrainingConfig):
         dc_terms, pen_terms, totals = [], [], []
         try:
             for j, idx in enumerate(order):
-                features, y, row_mask = examples[idx]
+                features, y = examples[idx]
                 loss, grads = backward(
                     params,
                     net_cfg,
@@ -402,7 +382,6 @@ def train(manifest_entries, net_cfg: NetworkConfig, hyper: TrainingConfig):
                     hyper.lam,
                     train_mode=True,
                     rng_seed=[hyper.seed, epoch, int(idx)],
-                    row_mask=row_mask,
                 )
                 params, state = adam_step(params, grads, state)
                 dc_terms.append(loss.dc_term)

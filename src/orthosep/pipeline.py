@@ -23,12 +23,10 @@ from .signal import StftConfig, Spectrogram, apply_mask, istft, log_magnitude, s
 
 
 def separate_spectrogram(params, net_cfg, mix_spec: Spectrogram,
-                         num_sources: int = 2, seed: int = 0,
-                         floor_eps: float = 1e-7):
+                         num_sources: int = 2, seed: int = 0):
     """Cluster the network embeddings of a mixture into binary masks and
     reconstruct one waveform per source. Returns (masks, waveforms, V)."""
-    features = log_magnitude(mix_spec, floor_eps)
-    v = forward(params, net_cfg, features, train_mode=False)
+    v = forward(params, net_cfg, log_magnitude(mix_spec), train_mode=False)
     result = kmeans(v, num_sources, seed=seed)
     masks = masks_from_clusters(result, mix_spec.num_frames, mix_spec.num_bins)
     waveforms = [istft(apply_mask(mix_spec, m)) for m in masks]
@@ -68,7 +66,7 @@ def _best_permutation(estimates, references):
 
 
 def evaluate_entry(entry, models, stft_cfg: StftConfig, seed: int = 0,
-                   entry_index: int = 0, floor_eps: float = 1e-7):
+                   entry_index: int = 0):
     """Metric records for one eval mixture.
 
     models maps a method name ("dc" / "proposed") to (params, net_cfg).
@@ -85,8 +83,7 @@ def evaluate_entry(entry, models, stft_cfg: StftConfig, seed: int = 0,
     records = []
     for method, (params, net_cfg) in models.items():
         est_masks, est_waves, _ = separate_spectrogram(
-            params, net_cfg, mix_spec, num_sources=2,
-            seed=[seed, entry_index], floor_eps=floor_eps,
+            params, net_cfg, mix_spec, num_sources=2, seed=[seed, entry_index]
         )
         est = [interior_samples(w, trim) for w in est_waves]
         perm = _best_permutation(est, refs)
@@ -112,8 +109,7 @@ def evaluate_entry(entry, models, stft_cfg: StftConfig, seed: int = 0,
     return records
 
 
-def evaluate_manifest(entries, models, stft_cfg: StftConfig, seed: int = 0,
-                      floor_eps: float = 1e-7):
+def evaluate_manifest(entries, models, stft_cfg: StftConfig, seed: int = 0):
     """Records for every eval-split entry, ordered by utterance id."""
     eval_entries = sorted(
         (e for e in entries if e.split == "eval"), key=lambda e: e.id
@@ -122,21 +118,18 @@ def evaluate_manifest(entries, models, stft_cfg: StftConfig, seed: int = 0,
         raise DataError("the manifest has no eval entries")
     records = []
     for idx, entry in enumerate(eval_entries):
-        records.extend(
-            evaluate_entry(entry, models, stft_cfg, seed=seed, entry_index=idx,
-                           floor_eps=floor_eps)
-        )
+        records.extend(evaluate_entry(entry, models, stft_cfg, seed=seed, entry_index=idx))
     return records
 
 
 def pooled_embeddings(entries, params, net_cfg, stft_cfg: StftConfig,
-                      floor_eps: float = 1e-7, split: str = "eval"):
+                      split: str = "eval"):
     """Embedding rows of every utterance in a split, stacked (for pooled
     covariance diagnostics)."""
     rows = []
     for entry in sorted((e for e in entries if e.split == split), key=lambda e: e.id):
         mixture, _, _ = render_mixture(entry)
-        features = log_magnitude(stft(mixture, stft_cfg), floor_eps)
+        features = log_magnitude(stft(mixture, stft_cfg))
         rows.append(forward(params, net_cfg, features, train_mode=False))
     if not rows:
         raise DataError(f"the manifest has no {split} entries")

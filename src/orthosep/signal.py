@@ -15,16 +15,16 @@ import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
 
+# Added to |X| before the log, so that silent bins give a finite feature.
+LOG_FLOOR = 1e-7
+
 
 @dataclass(frozen=True)
 class StftConfig:
     fft_size: int = 512
     hop: int = 256
-    window: str = "hann"
 
     def __post_init__(self):
-        if self.window != "hann":
-            raise ConfigError(f"unsupported window {self.window!r}")
         if self.fft_size <= 0 or (self.fft_size & (self.fft_size - 1)) != 0:
             raise ConfigError(f"fft_size must be a power of two, got {self.fft_size}")
         if not 0 < self.hop <= self.fft_size:
@@ -86,9 +86,6 @@ class Spectrogram:
     def num_bins(self):
         return self.bins.shape[1]
 
-    def magnitude(self):
-        return np.abs(self.bins)
-
 
 def hann_periodic(n):
     """Periodic Hann window (COLA-compliant at 50% overlap)."""
@@ -113,13 +110,12 @@ def stft(w: Waveform, cfg: StftConfig = StftConfig()) -> Spectrogram:
     return Spectrogram(bins=bins, config=cfg, sample_rate=w.sample_rate)
 
 
-def istft(s: Spectrogram, return_meta: bool = False):
+def istft(s: Spectrogram) -> Waveform:
     """Inverse STFT by least-squares overlap-add.
 
     Each frame is inverse-transformed, weighted by the analysis window
     again and accumulated; the result is divided by the summed squared
-    window. Positions where that sum underflows are guarded with a small
-    epsilon and counted in the metadata (``return_meta=True``).
+    window, which is floored at 1e-12 where it underflows.
     """
     cfg = s.config
     n, hop = cfg.fft_size, cfg.hop
@@ -133,20 +129,12 @@ def istft(s: Spectrogram, return_meta: bool = False):
         start = t * hop
         acc[start : start + n] += frames[t] * window
         wsum[start : start + n] += window**2
-    eps = 1e-12
-    guarded = int(np.count_nonzero(wsum < eps))
-    out = acc / np.maximum(wsum, eps)
-    w = Waveform(samples=out, sample_rate=s.sample_rate)
-    if return_meta:
-        return w, {"eps_guarded_samples": guarded}
-    return w
+    return Waveform(samples=acc / np.maximum(wsum, 1e-12), sample_rate=s.sample_rate)
 
 
-def log_magnitude(s: Spectrogram, floor_eps: float = 1e-7) -> np.ndarray:
-    """Log spectral magnitude feature matrix, ln(|X| + eps), shape (T, F)."""
-    if floor_eps <= 0:
-        raise ConfigError(f"floor_eps must be positive, got {floor_eps}")
-    return np.log(np.abs(s.bins) + floor_eps)
+def log_magnitude(s: Spectrogram) -> np.ndarray:
+    """Log spectral magnitude feature matrix, ln(|X| + LOG_FLOOR), shape (T, F)."""
+    return np.log(np.abs(s.bins) + LOG_FLOOR)
 
 
 def apply_mask(mix: Spectrogram, mask: np.ndarray) -> Spectrogram:

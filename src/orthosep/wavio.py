@@ -45,8 +45,10 @@ def write_wav(path, w: Waveform) -> None:
         )
     clipped = np.clip(w.samples, -1.0, 32767.0 / _SCALE)
     pcm = np.round(clipped * _SCALE).astype("<i2")
-    with wave.open(str(path), "wb") as f:
-        f.setnchannels(1)
-        f.setsampwidth(2)
-        f.setframerate(w.sample_rate)
-        f.writeframes(pcm.tobytes())
+    # open the file first: a wave.open(path) that fails to create it leaves
+    # a half-built writer whose __del__ raises again
+    with open(path, "wb") as f, wave.open(f, "wb") as out:
+        out.setnchannels(1)
+        out.setsampwidth(2)
+        out.setframerate(w.sample_rate)
+        out.writeframes(pcm.tobytes())

@@ -294,6 +294,31 @@ class TestErrors:
         assert "Traceback" not in capsys.readouterr().err
         assert out.read_text() == "not a directory"
 
+    @pytest.mark.parametrize("command,taken", [("separate", "source_0.wav"),
+                                               ("evaluate", "records.csv")])
+    def test_output_file_is_a_directory(self, corpus, trained, tmp_path, capsys, command,
+                                        taken):
+        out = tmp_path / "o"
+        (out / taken).mkdir(parents=True)
+        e = read_manifest(corpus / "manifest.jsonl")[0]
+        argv = {
+            "separate": ["--mix", e.mix_path, "--oracle-ibm",
+                         "--refs", e.target_path, e.interferer_path],
+            "evaluate": ["--manifest", corpus / "manifest.jsonl",
+                         "--checkpoint", trained / "checkpoint.osep",
+                         "--fft-size", 256, "--hop", 128],
+        }[command]
+        code = run(command, "--out", out, *argv)
+        assert code == 4
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("duration,expected", [(0.001, 0), ("nan", 2), ("inf", 2)])
+    def test_synth_duration_extremes(self, tmp_path, capsys, duration, expected):
+        code = run("synth", "--out", tmp_path / "o", "--n-train", 10, "--n-val", 0,
+                   "--n-eval", 0, "--duration", duration)
+        assert code == expected
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_fewer_than_two_sources(self, corpus, trained, tmp_path, capsys):
         e = read_manifest(corpus / "manifest.jsonl")[0]
         code = run("separate", "--checkpoint", trained / "checkpoint.osep", "--mix", e.mix_path,

@@ -6,7 +6,6 @@ from orthosep.embedding import (
     covariance,
     covariance_to_csv,
     dc_loss,
-    energy_row_mask,
     loss_gradient,
     normalize_rows,
     off_diagonal_ratio,
@@ -213,12 +212,6 @@ class TestOffDiagonalRatio:
     def test_needs_k_at_least_two(self):
         with pytest.raises(ShapeError):
             off_diagonal_ratio(np.ones((1, 1)))
-
-
-def test_energy_row_mask():
-    mag = np.array([[1.0, 0.001], [0.5, 0.009]])
-    keep = energy_row_mask(mag, 40.0)  # keep bins within 40 dB of max
-    assert list(keep) == [True, False, True, False]
 
 
 def test_covariance_csv_round_trip(tmp_path):

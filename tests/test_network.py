@@ -4,8 +4,8 @@ import struct
 import numpy as np
 import pytest
 
-from orthosep import embedding
-from orthosep.dataset import CorpusConfig, build_corpus
+from orthosep import embedding, pipeline
+from orthosep.dataset import CorpusConfig, build_corpus, render_mixture
 from orthosep.errors import CheckpointError, ConfigError
 from orthosep.network import (
     NetworkConfig,
@@ -21,12 +21,13 @@ from orthosep.network import (
     init_params,
     load_checkpoint,
     named_arrays,
+    prepare_example,
     save_checkpoint,
     train,
     write_training_log,
     zeros_like_params,
 )
-from orthosep.signal import StftConfig
+from orthosep.signal import StftConfig, stft
 
 TINY = NetworkConfig(input_dim=4, hidden=3, num_bilstm_layers=2, embedding_dim=2,
                      dropout_rate=0.5)
@@ -145,17 +146,6 @@ class TestBackward:
         direct = embedding.combined_loss(v, y, 1.0)
         assert loss.total == pytest.approx(direct.total, abs=1e-9)
         assert loss.dc_term == pytest.approx(direct.dc_term, abs=1e-9)
-
-    def test_row_mask_restricts_loss(self):
-        params = init_params(TINY, seed=10)
-        features, y = tiny_case(10)
-        mask = np.zeros(12, dtype=bool)
-        mask[:6] = True
-        loss, grads = backward(params, TINY, features, y, 1.0, train_mode=False,
-                               row_mask=mask)
-        v = forward(params, TINY, features)
-        direct = embedding.combined_loss(v[mask], y[mask], 1.0)
-        assert loss.total == pytest.approx(direct.total, abs=1e-9)
 
 
 def reference_lstm_backward(wx, wh, cache, dh_out):
@@ -336,6 +326,15 @@ class TestTrain:
         text = path.read_text().splitlines()
         assert text[0] == "epoch,mean_dc,mean_penalty,mean_total"
         assert text[1].startswith("0,1.5,0.5,2.0")
+
+
+def test_training_and_separation_use_the_same_features():
+    entry = toy_manifest()[0]
+    params = init_params(TOY_NET, seed=3)
+    features, _, _ = prepare_example(entry, TOY_STFT)
+    mix_spec = stft(render_mixture(entry)[0], TOY_STFT)
+    _, _, v = pipeline.separate_spectrogram(params, TOY_NET, mix_spec)
+    assert np.array_equal(forward(params, TOY_NET, features), v)
 
 
 class TestCheckpoint:

@@ -3,6 +3,7 @@ import pytest
 
 from orthosep.errors import ConfigError, DataError, ShapeError
 from orthosep.signal import (
+    LOG_FLOOR,
     Spectrogram,
     StftConfig,
     Waveform,
@@ -90,39 +91,31 @@ class TestIstft:
         frame = rng.uniform(-1, 1, 8)
         window = hann_periodic(8)
         s = Spectrogram(np.fft.rfft(frame * window)[None, :], cfg)
-        out, meta = istft(s, return_meta=True)
-        assert meta["eps_guarded_samples"] == 1  # periodic hann is 0 at sample 0
+        out = istft(s)
         assert np.allclose(out.samples[1:], frame[1:], atol=1e-12)
-        assert out.samples[0] == 0.0
+        assert out.samples[0] == 0.0  # periodic hann is 0 at sample 0
 
 
 class TestLogMagnitude:
     def test_inverse_of_ln(self):
         cfg = StftConfig(fft_size=8, hop=4)
-        eps = 1e-7
-        s = Spectrogram(np.full((2, 5), np.e - eps, dtype=complex), cfg)
-        assert np.allclose(log_magnitude(s, eps), 1.0)
+        s = Spectrogram(np.full((2, 5), np.e - LOG_FLOOR, dtype=complex), cfg)
+        assert np.allclose(log_magnitude(s), 1.0)
 
     def test_zero_spectrogram_floor(self):
         cfg = StftConfig(fft_size=8, hop=4)
         s = Spectrogram(np.zeros((3, 5), dtype=complex), cfg)
-        assert np.allclose(log_magnitude(s, 1e-7), np.log(1e-7))
+        assert np.allclose(log_magnitude(s), np.log(1e-7))
 
     def test_matches_scalar_loop(self):
         cfg = StftConfig(fft_size=8, hop=4)
         rng = np.random.default_rng(4)
         bins = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
         s = Spectrogram(bins, cfg)
-        got = log_magnitude(s, 1e-7)
+        got = log_magnitude(s)
         for t in range(6):
             for f in range(5):
                 assert got[t, f] == pytest.approx(np.log(abs(bins[t, f]) + 1e-7))
-
-    def test_rejects_nonpositive_eps(self):
-        cfg = StftConfig(fft_size=8, hop=4)
-        s = Spectrogram(np.zeros((1, 5), dtype=complex), cfg)
-        with pytest.raises(ConfigError):
-            log_magnitude(s, 0.0)
 
 
 class TestApplyMask:
@@ -164,8 +157,6 @@ class TestValidation:
             StftConfig(fft_size=500, hop=256)
         with pytest.raises(ConfigError):
             StftConfig(fft_size=512, hop=0)
-        with pytest.raises(ConfigError):
-            StftConfig(window="hamming")
 
     def test_nonfinite_waveform_rejected(self):
         with pytest.raises(DataError):
