@@ -57,11 +57,21 @@ def _load_config_file(path):
 
 
 def _resolve(args, file_cfg, section, key, default):
-    """Flag value if given, else config-file value, else default."""
+    """Flag value if given, else config-file value, else default. A file
+    value must be a finite JSON number, and an integral one where default
+    is an int; it is returned as the type of default."""
     flag = getattr(args, key, None)
     if flag is not None:
         return flag
-    return file_cfg.get(section, {}).get(key, default)
+    kind = type(default)
+    value = file_cfg.get(section, {}).get(key, default)
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (kind is int and isinstance(value, float) and not value.is_integer())
+            or (kind is float and not abs(value) <= sys.float_info.max)):
+        expected = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"config file setting {section}.{key} must be {expected}, "
+                          f"got {json.dumps(value)}")
+    return kind(value)
 
 
 def _make_outdir(path):
@@ -75,19 +85,31 @@ def _echo_config(outdir, effective):
         json.dump(effective, f, indent=2, sort_keys=True)
 
 
+def _load_checkpoint(path, stft_cfg):
+    """(params, net_cfg, meta) of a checkpoint whose input width matches
+    the frequency bins of the STFT settings in effect."""
+    params, net_cfg, meta = load_checkpoint(path)
+    if net_cfg.input_dim != stft_cfg.num_bins:
+        raise ConfigError(
+            f"checkpoint {path} expects {net_cfg.input_dim} frequency bins, "
+            f"--fft-size {stft_cfg.fft_size} gives {stft_cfg.num_bins}"
+        )
+    return params, net_cfg, meta
+
+
 def _stft_config(args, file_cfg):
     return StftConfig(
-        fft_size=int(_resolve(args, file_cfg, "stft", "fft_size", 512)),
-        hop=int(_resolve(args, file_cfg, "stft", "hop", 256)),
+        fft_size=_resolve(args, file_cfg, "stft", "fft_size", 512),
+        hop=_resolve(args, file_cfg, "stft", "hop", 256),
     )
 
 
 def cmd_synth(args, file_cfg):
     cfg = CorpusConfig(
-        n_train=int(_resolve(args, file_cfg, "corpus", "n_train", 100)),
-        n_val=int(_resolve(args, file_cfg, "corpus", "n_val", 20)),
-        n_eval=int(_resolve(args, file_cfg, "corpus", "n_eval", 20)),
-        duration_s=float(_resolve(args, file_cfg, "corpus", "duration_s", 0.5)),
+        n_train=_resolve(args, file_cfg, "corpus", "n_train", 100),
+        n_val=_resolve(args, file_cfg, "corpus", "n_val", 20),
+        n_eval=_resolve(args, file_cfg, "corpus", "n_eval", 20),
+        duration_s=_resolve(args, file_cfg, "corpus", "duration_s", 0.5),
         seed=int(args.seed),
     )
     outdir = _make_outdir(args.out)
@@ -113,15 +135,15 @@ def cmd_train(args, file_cfg):
     stft_cfg = _stft_config(args, file_cfg)
     net_cfg = NetworkConfig(
         input_dim=stft_cfg.num_bins,
-        hidden=int(_resolve(args, file_cfg, "network", "hidden", 32)),
-        num_bilstm_layers=int(_resolve(args, file_cfg, "network", "layers", 2)),
-        embedding_dim=int(_resolve(args, file_cfg, "network", "embedding_dim", 20)),
-        dropout_rate=float(_resolve(args, file_cfg, "network", "dropout", 0.5)),
+        hidden=_resolve(args, file_cfg, "network", "hidden", 32),
+        num_bilstm_layers=_resolve(args, file_cfg, "network", "layers", 2),
+        embedding_dim=_resolve(args, file_cfg, "network", "embedding_dim", 20),
+        dropout_rate=_resolve(args, file_cfg, "network", "dropout", 0.5),
     )
     hyper = TrainingConfig(
-        lam=float(_resolve(args, file_cfg, "training", "lam", 1.0)),
-        learning_rate=float(_resolve(args, file_cfg, "training", "lr", 1e-4)),
-        epochs=int(_resolve(args, file_cfg, "training", "epochs", 50)),
+        lam=_resolve(args, file_cfg, "training", "lam", 1.0),
+        learning_rate=_resolve(args, file_cfg, "training", "lr", 1e-4),
+        epochs=_resolve(args, file_cfg, "training", "epochs", 50),
         seed=int(args.seed),
         stft=stft_cfg,
     )
@@ -156,8 +178,6 @@ def cmd_separate(args, file_cfg):
     if mix.power() == 0.0:
         raise DataError("zero-power source")
     mix_spec = stft(mix, stft_cfg)
-    outdir = _make_outdir(args.out)
-
     if args.oracle_ibm:
         if not args.refs or len(args.refs) < 2:
             raise ConfigError("--oracle-ibm requires at least two --refs WAVs")
@@ -166,16 +186,12 @@ def cmd_separate(args, file_cfg):
     else:
         if args.checkpoint is None:
             raise ConfigError("either --checkpoint or --oracle-ibm is required")
-        params, net_cfg, _ = load_checkpoint(args.checkpoint)
-        if net_cfg.input_dim != mix_spec.num_bins:
-            raise ConfigError(
-                f"checkpoint expects {net_cfg.input_dim} frequency bins, "
-                f"input has {mix_spec.num_bins}"
-            )
+        params, net_cfg, _ = _load_checkpoint(args.checkpoint, stft_cfg)
         masks, waves, _ = pipeline.separate_spectrogram(
             params, net_cfg, mix_spec, num_sources=int(args.sources),
             seed=int(args.seed),
         )
+    outdir = _make_outdir(args.out)
     for c, w in enumerate(waves):
         write_wav(outdir / f"source_{c}.wav", w)
     if args.dump_masks:
@@ -187,13 +203,13 @@ def cmd_separate(args, file_cfg):
     return 0
 
 
-def _load_models(args):
+def _load_models(args, stft_cfg):
     models = {}
-    params, net_cfg, meta = load_checkpoint(args.checkpoint)
+    params, net_cfg, meta = _load_checkpoint(args.checkpoint, stft_cfg)
     label = "dc" if meta["train_lambda"] == 0.0 else "proposed"
     if args.baseline_checkpoint:
         models[label] = (params, net_cfg)
-        b_params, b_cfg, _ = load_checkpoint(args.baseline_checkpoint)
+        b_params, b_cfg, _ = _load_checkpoint(args.baseline_checkpoint, stft_cfg)
         models["dc"] = (b_params, b_cfg)
         if label == "dc":
             raise ConfigError(
@@ -208,7 +224,7 @@ def _load_models(args):
 def cmd_evaluate(args, file_cfg):
     entries = read_manifest(args.manifest)
     stft_cfg = _stft_config(args, file_cfg)
-    models = _load_models(args)
+    models = _load_models(args, stft_cfg)
     records = pipeline.evaluate_manifest(entries, models, stft_cfg, seed=int(args.seed))
     report = metrics.aggregate(records)
     outdir = _make_outdir(args.out)
@@ -226,7 +242,7 @@ def cmd_evaluate(args, file_cfg):
 def cmd_export_cov(args, file_cfg):
     entries = read_manifest(args.manifest)
     stft_cfg = _stft_config(args, file_cfg)
-    params, net_cfg, _ = load_checkpoint(args.checkpoint)
+    params, net_cfg, _ = _load_checkpoint(args.checkpoint, stft_cfg)
     pooled = pipeline.pooled_embeddings(entries, params, net_cfg, stft_cfg)
     cov = embedding.covariance(pooled)
     ratio = embedding.off_diagonal_ratio(cov)

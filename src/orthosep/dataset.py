@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, IoError, ShapeError
-from .signal import Spectrogram, Waveform
+from .signal import Waveform
 
 SIR_GRID_DB = (3.0, 6.0, 9.0, 12.0, 15.0)
 FAMILY_PAIRS = ("same", "mixed")

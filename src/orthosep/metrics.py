@@ -8,7 +8,8 @@ are capped at +-100 so reports stay serializable.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
@@ -121,87 +122,55 @@ class MetricsReport:
     sdr_by_sir: dict  # (dim, method) -> {sir: mean, "avg": mean}
     sdr_by_family: dict  # (dim, method) -> {pair: mean}
     mask_quality: dict  # sir -> {"improved_npa": x, "relative_error_pct": y or None}
-    records: list = field(default_factory=list)
+
+
+def _mean(cells, *key):
+    """Mean of one cell's values in record order; nan for an empty cell."""
+    values = cells.get(key)
+    return float(np.mean(values)) if values else float("nan")
 
 
 def aggregate(records) -> MetricsReport:
-    """Stratified means with method deltas. All methods must cover the
-    identical set of mixture ids."""
-    methods = sorted({r.method for r in records})
-    id_sets = {m: {r.id for r in records if r.method == m} for m in methods}
-    reference_ids = id_sets[methods[0]]
+    """Stratified means with method deltas, from one pass that groups the
+    record values by table cell. All methods must cover the identical set
+    of mixture ids."""
+    ids = defaultdict(set)
+    dims, sirs, pairs = set(), set(), set()
+    cells = defaultdict(list)  # (table, ...cell key) -> values in record order
+    for r in records:
+        d, m = r.embedding_dim, r.method
+        ids[m].add(r.id)
+        dims.add(d)
+        sirs.add(r.sir_db)
+        pairs.add(r.family_pair)
+        cells["sir", d, m, r.sir_db].append(r.sdr_db)
+        cells["sir", d, m, "avg"].append(r.sdr_db)
+        cells["pair", d, m, r.family_pair].append(r.sdr_db)
+        cells["npa", m, r.sir_db].append(r.npa_db)
+        cells["err", m, r.sir_db].append(r.mask_error_rate)
+    methods = sorted(ids)
     for m in methods[1:]:
-        if id_sets[m] != reference_ids:
-            missing = sorted(reference_ids ^ id_sets[m])
+        if ids[m] != ids[methods[0]]:
+            missing = sorted(ids[methods[0]] ^ ids[m])
             raise DataError(
                 f"methods evaluated on different mixture sets; mismatched ids: {missing}"
             )
-    sirs = sorted({r.sir_db for r in records})
-    dims = sorted({r.embedding_dim for r in records})
-    pairs = sorted({r.family_pair for r in records})
-
-    def mean_of(selector, value):
-        vals = [value(r) for r in records if selector(r)]
-        return float(np.mean(vals)) if vals else float("nan")
-
-    sdr_by_sir = {}
-    sdr_by_family = {}
-    for dim in dims:
-        for m in methods:
-            cell = {
-                sir: mean_of(
-                    lambda r, s=sir, d=dim, mm=m: r.sir_db == s
-                    and r.embedding_dim == d
-                    and r.method == mm,
-                    lambda r: r.sdr_db,
-                )
-                for sir in sirs
-            }
-            cell["avg"] = mean_of(
-                lambda r, d=dim, mm=m: r.embedding_dim == d and r.method == mm,
-                lambda r: r.sdr_db,
-            )
-            sdr_by_sir[(dim, m)] = cell
-            sdr_by_family[(dim, m)] = {
-                pair: mean_of(
-                    lambda r, p=pair, d=dim, mm=m: r.family_pair == p
-                    and r.embedding_dim == d
-                    and r.method == mm,
-                    lambda r: r.sdr_db,
-                )
-                for pair in pairs
-            }
-
+    dims, sirs, pairs = sorted(dims), sorted(sirs), sorted(pairs)
+    sdr_by_sir = {(d, m): {k: _mean(cells, "sir", d, m, k) for k in [*sirs, "avg"]}
+                  for d in dims for m in methods}
+    sdr_by_family = {(d, m): {p: _mean(cells, "pair", d, m, p) for p in pairs}
+                     for d in dims for m in methods}
     mask_quality = {}
     if {"dc", "proposed"} <= set(methods):
         for sir in sirs:
-            npa_dc = mean_of(
-                lambda r, s=sir: r.sir_db == s and r.method == "dc", lambda r: r.npa_db
-            )
-            npa_prop = mean_of(
-                lambda r, s=sir: r.sir_db == s and r.method == "proposed",
-                lambda r: r.npa_db,
-            )
-            err_dc = mean_of(
-                lambda r, s=sir: r.sir_db == s and r.method == "dc",
-                lambda r: r.mask_error_rate,
-            )
-            err_prop = mean_of(
-                lambda r, s=sir: r.sir_db == s and r.method == "proposed",
-                lambda r: r.mask_error_rate,
-            )
             mask_quality[sir] = {
-                "improved_npa": npa_prop - npa_dc,
-                "relative_error_pct": relative_error_improvement(err_dc, err_prop),
+                "improved_npa": _mean(cells, "npa", "proposed", sir)
+                - _mean(cells, "npa", "dc", sir),
+                "relative_error_pct": relative_error_improvement(
+                    _mean(cells, "err", "dc", sir), _mean(cells, "err", "proposed", sir)
+                ),
             }
-    return MetricsReport(
-        methods=methods,
-        sir_values=sirs,
-        sdr_by_sir=sdr_by_sir,
-        sdr_by_family=sdr_by_family,
-        mask_quality=mask_quality,
-        records=list(records),
-    )
+    return MetricsReport(methods, sirs, sdr_by_sir, sdr_by_family, mask_quality)
 
 
 def records_to_csv(records, path) -> None:

@@ -53,16 +53,13 @@ def interior_samples(w, fft_size: int):
 
 
 def _best_permutation(estimates, references):
-    """Source-to-reference matching maximizing the total SDR."""
-    best_perm, best_score = None, -np.inf
-    for perm in permutations(range(len(references))):
-        score = sum(
-            metrics.sdr(estimates[perm[c]], references[c])
-            for c in range(len(references))
-        )
-        if score > best_score:
-            best_perm, best_score = perm, score
-    return best_perm
+    """Source-to-reference matching maximizing the total SDR, with the SDR
+    of each reference against its matched estimate. Each (estimate,
+    reference) pair is scored once; ties keep the first permutation."""
+    table = [[metrics.sdr(e, ref) for ref in references] for e in estimates]
+    n = len(references)
+    perm = max(permutations(range(n)), key=lambda p: sum(table[p[c]][c] for c in range(n)))
+    return perm, [table[perm[c]][c] for c in range(n)]
 
 
 def evaluate_entry(entry, models, stft_cfg: StftConfig, seed: int = 0,
@@ -86,8 +83,7 @@ def evaluate_entry(entry, models, stft_cfg: StftConfig, seed: int = 0,
             params, net_cfg, mix_spec, num_sources=2, seed=[seed, entry_index]
         )
         est = [interior_samples(w, trim) for w in est_waves]
-        perm = _best_permutation(est, refs)
-        sdr_per_ref = [metrics.sdr(est[perm[c]], refs[c]) for c in range(len(refs))]
+        perm, sdr_per_ref = _best_permutation(est, refs)
         target_stream, _ = select_target(est_waves)
         # reference index this dominant stream was matched to
         target_ref = perm.index(target_stream)

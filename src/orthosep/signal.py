@@ -52,10 +52,6 @@ class Waveform:
     def __len__(self):
         return len(self.samples)
 
-    @property
-    def duration(self):
-        return len(self.samples) / self.sample_rate
-
     def power(self):
         """Mean squared amplitude."""
         return float(np.mean(self.samples**2))

@@ -5,7 +5,7 @@ import pytest
 
 from orthosep.cli import main
 from orthosep.dataset import read_manifest
-from orthosep.network import load_checkpoint, save_checkpoint
+from orthosep.network import NetworkConfig, init_params, load_checkpoint, save_checkpoint
 from orthosep.signal import StftConfig, Waveform, apply_mask, stft
 from orthosep.wavio import read_wav, write_wav
 
@@ -131,15 +131,6 @@ class TestSeparate:
                    "--oracle-ibm", "--refs", silent, silent)
         assert code == 3
 
-    def test_incompatible_checkpoint_dims(self, corpus, trained, tmp_path):
-        e = read_manifest(corpus / "manifest.jsonl")[0]
-        code = run(
-            "separate", "--checkpoint", trained / "checkpoint.osep",
-            "--mix", e.mix_path, "--out", tmp_path,
-            "--fft-size", 512, "--hop", 256,
-        )
-        assert code == 2
-
 
 class TestEvaluate:
     def test_reports_written(self, corpus, trained, tmp_path):
@@ -260,6 +251,51 @@ class TestErrors:
         code = run("--config", cfg, "synth", "--out", tmp_path / "o")
         assert code == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("network", "hidden", "abc"), ("stft", "fft_size", None), ("corpus", "n_train", [1]),
+        ("training", "epochs", 1.7), ("network", "dropout", True), ("training", "lr", "1e-3"),
+        ("corpus", "duration_s", 10**400), ("training", "lam", float("nan")),
+    ])
+    def test_config_value_of_the_wrong_type(self, corpus, tmp_path, capsys, section, key,
+                                            value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: {key: value}}))
+        out = tmp_path / "o"
+        command = (["synth"] if section == "corpus"
+                   else ["train", "--manifest", corpus / "manifest.jsonl"])
+        code = run("--config", cfg, *command, "--out", out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"{section}.{key}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["separate", "evaluate", "evaluate-baseline",
+                                         "export-cov"])
+    def test_incompatible_checkpoint_dims(self, corpus, trained, tmp_path, capsys, command):
+        # the model takes 129 bins (--fft-size 256); the default 512 gives 257
+        manifest = corpus / "manifest.jsonl"
+        checkpoint = trained / "checkpoint.osep"
+        wide = tmp_path / "wide.osep"
+        wide_cfg = NetworkConfig(input_dim=257, hidden=4, embedding_dim=3)
+        save_checkpoint(init_params(wide_cfg), wide_cfg, wide, train_lambda=0.0)
+        argv = {
+            "separate": ["separate", "--checkpoint", checkpoint,
+                         "--mix", read_manifest(manifest)[0].mix_path],
+            "evaluate": ["evaluate", "--manifest", manifest, "--checkpoint", checkpoint],
+            "evaluate-baseline": ["evaluate", "--manifest", manifest, "--checkpoint", checkpoint,
+                                  "--baseline-checkpoint", wide,
+                                  "--fft-size", 256, "--hop", 128],
+            "export-cov": ["export-cov", "--manifest", manifest, "--checkpoint", checkpoint],
+        }[command]
+        out = tmp_path / "o"
+        code = run(*argv, "--out", out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "frequency bins" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["evaluate", "export-cov"])
     def test_no_eval_entries(self, corpus, trained, tmp_path, capsys, command):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from orthosep import metrics, pipeline
 from orthosep.errors import DataError, ShapeError
 from orthosep.metrics import (
     UtteranceRecord,
@@ -191,6 +192,67 @@ class TestAggregate:
         assert cell["improved_npa"] == pytest.approx(0.5)
         assert cell["relative_error_pct"] == pytest.approx(10.0)
 
+    def test_every_cell_is_the_mean_of_the_records_it_selects(self, tmp_path):
+        # dc at K=20 and proposed at K=40, as `evaluate --baseline-checkpoint`
+        # gives for models that differ in K: the (20, proposed) and (40, dc)
+        # cells select no record and read nan, n/a in the text.
+        rng = np.random.default_rng(5)
+        sirs, pairs = (3.0, 9.0, 15.0), ("mixed", "same")
+        records = []
+        for i in range(12):
+            sir, pair = sirs[i % 3], pairs[i % 2]
+            for method, dim in (("dc", 20), ("proposed", 40)):
+                err = 0.0 if (method, sir) == ("dc", 15.0) else rng.uniform(0.05, 0.3)
+                records.append(make_record(f"u{i:02d}", method, sir, rng.normal(8, 3),
+                                           pair=pair, dim=dim, npa_val=rng.normal(2),
+                                           err=err))
+        report = aggregate(records)
+
+        def mean(value, **where):
+            vals = [getattr(r, value) for r in records
+                    if all(getattr(r, k) == v for k, v in where.items())]
+            return float(np.mean(vals)) if vals else float("nan")
+
+        cells = [(d, m) for d in (20, 40) for m in ("dc", "proposed")]
+        assert report.methods == ["dc", "proposed"]
+        assert report.sir_values == list(sirs)
+        assert list(report.sdr_by_sir) == cells
+        assert list(report.sdr_by_family) == cells
+        for d, m in cells:
+            at = {"embedding_dim": d, "method": m}
+            expected = {s: mean("sdr_db", sir_db=s, **at) for s in sirs}
+            expected["avg"] = mean("sdr_db", **at)
+            assert list(report.sdr_by_sir[(d, m)]) == [*sirs, "avg"]
+            np.testing.assert_equal(report.sdr_by_sir[(d, m)], expected)
+            assert list(report.sdr_by_family[(d, m)]) == list(pairs)
+            np.testing.assert_equal(report.sdr_by_family[(d, m)],
+                                    {p: mean("sdr_db", family_pair=p, **at) for p in pairs})
+        assert np.isnan(report.sdr_by_sir[(20, "proposed")]["avg"])
+        assert np.isnan(report.sdr_by_family[(40, "dc")]["same"])
+
+        assert list(report.mask_quality) == list(sirs)
+        for s in sirs:
+            npa_dc = mean("npa_db", sir_db=s, method="dc")
+            npa_prop = mean("npa_db", sir_db=s, method="proposed")
+            err_dc = mean("mask_error_rate", sir_db=s, method="dc")
+            err_prop = mean("mask_error_rate", sir_db=s, method="proposed")
+            assert report.mask_quality[s] == {
+                "improved_npa": npa_prop - npa_dc,
+                "relative_error_pct": relative_error_improvement(err_dc, err_prop),
+            }
+        assert report.mask_quality[15.0]["relative_error_pct"] is None
+
+        sir_table = report_to_text(report).split("\n\n")[0].splitlines()[2:]
+        rows = {tuple(line.split()[:2]): line.split()[2:] for line in sir_table}
+        assert rows[("20", "proposed")] == ["n/a"] * 4
+        assert rows[("40", "dc")] == ["n/a"] * 4
+        assert rows[("20", "improve")] == ["n/a"] * 4
+        assert "n/a" not in rows[("20", "dc")]
+        report_to_csv(report, tmp_path / "report.csv")
+        csv_text = (tmp_path / "report.csv").read_text()
+        assert "sdr_by_sir,20,proposed,avg,nan\n" in csv_text
+        assert "mask_quality,,,relative_error_pct@15.0,n/a\n" in csv_text
+
 
 def test_report_rendering(tmp_path):
     records = [
@@ -205,3 +267,17 @@ def test_report_rendering(tmp_path):
     report_to_csv(report, tmp_path / "report.csv")
     assert (tmp_path / "records.csv").read_text().count("\n") == 3
     assert "sdr_by_sir" in (tmp_path / "report.csv").read_text()
+
+
+def test_best_permutation_scores_each_pair_once(monkeypatch):
+    ref, noise = orthogonal_pair(seed=10)
+    other, _ = orthogonal_pair(seed=11)
+    refs = [ref, other]
+    est = [other + 0.3 * noise, ref + 0.1 * noise]  # in the opposite order
+    expected = [sdr(est[1], refs[0]), sdr(est[0], refs[1])]
+    calls = []
+    monkeypatch.setattr(metrics, "sdr", lambda e, r: calls.append(1) or sdr(e, r))
+    perm, sdr_per_ref = pipeline._best_permutation(est, refs)
+    assert perm == (1, 0)
+    assert sdr_per_ref == expected
+    assert len(calls) == 4
